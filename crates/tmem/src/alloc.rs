@@ -9,7 +9,6 @@
 //! snapshot — and is aborted by read-set validation on the path that led
 //! there, or by the version bump when the block is reused and rewritten.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,10 +24,64 @@ pub struct Allocator {
     next: AtomicU64,
     /// Pool capacity in words.
     capacity: u64,
-    /// Free lists keyed by block size in words.
-    free: Mutex<HashMap<usize, Vec<u64>>>,
-    /// Number of blocks currently on free lists (diagnostics).
-    free_blocks: AtomicU64,
+    free: Mutex<FreeLists>,
+}
+
+/// Block sizes below this many words have a directly indexed free list;
+/// every data-structure node in the workspace is far smaller.
+const DIRECT_CLASSES: usize = 64;
+
+/// Per-size-class free lists, each last-in-first-out: `alloc` reuses the
+/// most recently freed block of its size. That order decides which
+/// addresses the lockstep figures touch, so it must not change.
+struct FreeLists {
+    /// `small[w]`: free blocks of `w` words (index 0 unused).
+    small: [Vec<u64>; DIRECT_CLASSES],
+    /// Free blocks of `DIRECT_CLASSES` words or more, one entry per size
+    /// ever freed, sorted by size — bookkeeping grows with the number of
+    /// distinct large sizes, never with a block's length.
+    large: Vec<(usize, Vec<u64>)>,
+    /// Number of blocks on all lists.
+    blocks: u64,
+}
+
+impl FreeLists {
+    fn new() -> Self {
+        FreeLists {
+            small: std::array::from_fn(|_| Vec::new()),
+            large: Vec::new(),
+            blocks: 0,
+        }
+    }
+
+    fn pop(&mut self, words: usize) -> Option<u64> {
+        let list = if words < DIRECT_CLASSES {
+            &mut self.small[words]
+        } else {
+            let i = self.large.binary_search_by_key(&words, |e| e.0).ok()?;
+            &mut self.large[i].1
+        };
+        let a = list.pop()?;
+        self.blocks -= 1;
+        Some(a)
+    }
+
+    fn push(&mut self, words: usize, addr: u64) {
+        let list = if words < DIRECT_CLASSES {
+            &mut self.small[words]
+        } else {
+            let i = match self.large.binary_search_by_key(&words, |e| e.0) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.large.insert(i, (words, Vec::new()));
+                    i
+                }
+            };
+            &mut self.large[i].1
+        };
+        list.push(addr);
+        self.blocks += 1;
+    }
 }
 
 impl Allocator {
@@ -37,8 +90,7 @@ impl Allocator {
         Allocator {
             next: AtomicU64::new(1),
             capacity: capacity as u64,
-            free: Mutex::new(HashMap::new()),
-            free_blocks: AtomicU64::new(0),
+            free: Mutex::new(FreeLists::new()),
         }
     }
 
@@ -50,11 +102,8 @@ impl Allocator {
     /// the remaining pool can satisfy the request.
     pub fn alloc(&self, words: usize) -> TxResult<Addr> {
         assert!(words > 0, "zero-sized allocation");
-        if let Some(list) = self.free.lock().get_mut(&words) {
-            if let Some(a) = list.pop() {
-                self.free_blocks.fetch_sub(1, Ordering::Relaxed);
-                return Ok(Addr(a));
-            }
+        if let Some(a) = self.free.lock().pop(words) {
+            return Ok(Addr(a));
         }
         self.bump(words as u64)
     }
@@ -107,8 +156,7 @@ impl Allocator {
     pub fn free(&self, addr: Addr, words: usize) {
         debug_assert!(!addr.is_null(), "freeing the null address");
         debug_assert!(addr.0 + words as u64 <= self.capacity);
-        self.free.lock().entry(words).or_default().push(addr.0);
-        self.free_blocks.fetch_add(1, Ordering::Relaxed);
+        self.free.lock().push(words, addr.0);
     }
 
     /// Words handed out so far by the bump pointer (high-water mark).
@@ -118,7 +166,7 @@ impl Allocator {
 
     /// Number of blocks currently sitting on free lists.
     pub fn free_block_count(&self) -> u64 {
-        self.free_blocks.load(Ordering::Relaxed)
+        self.free.lock().blocks
     }
 }
 
@@ -206,5 +254,135 @@ mod tests {
                 assert!(seen.insert(addr), "duplicate allocation at {addr}");
             }
         }
+    }
+
+    /// The free-list design this allocator replaced: one `HashMap` of
+    /// LIFO lists keyed by size, then the bump pointer. Reuse order
+    /// decides lockstep block addresses, so it must match step for step.
+    struct HashMapModel {
+        next: u64,
+        free: std::collections::HashMap<usize, Vec<u64>>,
+    }
+
+    impl HashMapModel {
+        fn alloc(&mut self, words: usize) -> u64 {
+            if let Some(a) = self.free.get_mut(&words).and_then(Vec::pop) {
+                return a;
+            }
+            let a = self.next;
+            self.next += words as u64;
+            a
+        }
+
+        fn free(&mut self, addr: u64, words: usize) {
+            self.free.entry(words).or_default().push(addr);
+        }
+    }
+
+    #[test]
+    fn reuse_order_matches_hashmap_free_lists() {
+        use hcf_util::rng::{Rng, SplitMix64};
+        // Direct-indexed and large sizes, each repeated enough to reuse.
+        const SIZES: [usize; 8] = [1, 2, 3, 5, 19, 63, 64, 300];
+        let a = Allocator::new(1 << 24);
+        let mut model = HashMapModel {
+            next: 1,
+            free: Default::default(),
+        };
+        let mut rng = SplitMix64::seed_from_u64(0x5eed);
+        let mut live: Vec<(u64, usize)> = Vec::new();
+        for step in 0..20_000 {
+            if live.is_empty() || rng.random_bool(0.55) {
+                let words = SIZES[rng.random_range(0..SIZES.len())];
+                let got = a.alloc(words).unwrap().0;
+                assert_eq!(got, model.alloc(words), "alloc({words}) at step {step}");
+                live.push((got, words));
+            } else {
+                let (addr, words) = live.swap_remove(rng.random_range(0..live.len()));
+                a.free(Addr(addr), words);
+                model.free(addr, words);
+            }
+            let model_free: usize = model.free.values().map(Vec::len).sum();
+            assert_eq!(a.free_block_count(), model_free as u64);
+        }
+        assert_eq!(a.high_water(), model.next);
+    }
+
+    #[test]
+    fn free_block_count_is_exact_after_concurrent_alloc_free() {
+        use std::collections::HashSet;
+        use std::sync::Arc;
+        const SIZES: [usize; 4] = [2, 3, 5, 70];
+        let a = Arc::new(Allocator::new(1 << 20));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let a = a.clone();
+                std::thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    let mut held = Vec::new();
+                    for i in 0..2_000usize {
+                        let words = SIZES[(i + t) % SIZES.len()];
+                        let b = a.alloc(words).unwrap();
+                        seen.push((b.0, words));
+                        held.push((b, words));
+                        if i % 3 != 0 {
+                            let (b, w) = held.swap_remove(i % held.len());
+                            a.free(b, w);
+                        }
+                    }
+                    for (b, w) in held {
+                        a.free(b, w);
+                    }
+                    seen
+                })
+            })
+            .collect();
+        // Every block handed out was freed again, so the free lists hold
+        // exactly the distinct blocks ever handed out.
+        let mut distinct = HashSet::new();
+        for h in handles {
+            distinct.extend(h.join().unwrap());
+        }
+        assert_eq!(a.free_block_count(), distinct.len() as u64);
+        // Draining the lists pops exactly that many blocks, each once,
+        // before any size falls back to the bump pointer.
+        let high_water = a.high_water();
+        let mut drained = HashSet::new();
+        for &words in &SIZES {
+            let on_list = distinct.iter().filter(|&&(_, w)| w == words).count();
+            for _ in 0..on_list {
+                assert!(drained.insert((a.alloc(words).unwrap().0, words)));
+            }
+        }
+        assert_eq!(drained, distinct);
+        assert_eq!(a.free_block_count(), 0);
+        assert_eq!(
+            a.high_water(),
+            high_water,
+            "no block came from the bump pointer"
+        );
+    }
+
+    #[test]
+    fn large_block_bookkeeping_does_not_grow_with_its_size() {
+        const BIG: usize = 1 << 16;
+        let a = Allocator::new(4 * BIG);
+        let slots = |a: &Allocator| {
+            let free = a.free.lock();
+            free.small.len() + free.large.len()
+        };
+        let empty = slots(&a);
+        let b = a.alloc(BIG).unwrap();
+        a.free(b, BIG);
+        assert_eq!(a.free_block_count(), 1);
+        assert_eq!(slots(&a), empty + 1, "one list entry for the new size");
+        assert_eq!(a.alloc(BIG).unwrap(), b, "large block reused");
+        assert_eq!(a.free_block_count(), 0);
+        let c = a.alloc(2 * BIG).unwrap();
+        a.free(c, 2 * BIG);
+        a.free(b, BIG);
+        assert_eq!(slots(&a), empty + 2);
+        assert_eq!(a.alloc(2 * BIG).unwrap(), c);
+        assert_eq!(a.alloc(BIG).unwrap(), b);
     }
 }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hcf_util::pad::CachePadded;
+use hcf_util::pad::Striped;
 use hcf_util::sync::Mutex;
 
 use crate::txset::TxnScratch;
@@ -178,38 +178,6 @@ impl IdRegistry {
     }
 }
 
-/// Number of padded statistics stripes in [`RealRuntime`] (power of two).
-/// Threads pick stripes round-robin on first use, so up to this many
-/// worker threads count without ever touching a shared cache line.
-const COUNTER_STRIPES: usize = 64;
-
-/// Round-robin source of stripe indices (see [`STRIPE_IDX`]).
-static STRIPE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The calling thread's counter-stripe index, assigned round-robin on
-    /// first use. Deliberately independent of [`Runtime::thread_id`]:
-    /// counter bumps run inside `mem_access`/`tx_event`, and resolving a
-    /// dense id there would *implicitly register* threads (such as a main
-    /// thread doing direct setup) that previously never got one, shifting
-    /// every later thread's id — observable through engine `max_threads`
-    /// checks and the lockstep/sanitizer id order.
-    static STRIPE_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's stripe index (shared across all [`RealRuntime`]s; the
-/// stripes themselves are per-runtime).
-#[inline]
-fn stripe_index() -> usize {
-    let cached = STRIPE_IDX.get();
-    if cached != usize::MAX {
-        return cached;
-    }
-    let idx = STRIPE_SEQ.fetch_add(1, Ordering::Relaxed) as usize & (COUNTER_STRIPES - 1);
-    STRIPE_IDX.set(idx);
-    idx
-}
-
 /// One stripe of [`RealRuntime`] statistics. All four counters fit well
 /// inside the 128-byte padding unit, so a thread's begin/commit/access
 /// bumps stay on one private line.
@@ -224,16 +192,18 @@ struct CounterStripe {
 /// Pass-through runtime for ordinary execution: threads run freely, time is
 /// wall time, and per-access cost hooks only bump counters.
 ///
-/// The counters are striped per thread id and cache-padded
-/// ([`CachePadded`]): `mem_access` runs on every transactional load and
-/// store, and a single shared `fetch_add` target would serialize all
-/// worker threads on one cache line — false sharing on the hottest
-/// counter in the workspace.
+/// The counters are [`Striped`]: each OS thread bumps its own cache-padded
+/// stripe, assigned round-robin on first use and deliberately *not* by
+/// [`Runtime::thread_id`] (resolving a dense id inside `mem_access` would
+/// implicitly register threads and shift every later thread's id).
+/// `mem_access` runs on every transactional load and store, and a single
+/// shared `fetch_add` target would serialize all worker threads on one
+/// cache line — false sharing on the hottest counter in the workspace.
 pub struct RealRuntime {
     start: Instant,
     token: u64,
     ids: Mutex<IdRegistry>,
-    stripes: Box<[CachePadded<CounterStripe>]>,
+    stripes: Striped<CounterStripe>,
 }
 
 impl RealRuntime {
@@ -246,18 +216,8 @@ impl RealRuntime {
             start: Instant::now(), // hcf-lint: allow(no-wall-clock)
             token: RUNTIME_TOKEN.fetch_add(1, Ordering::Relaxed),
             ids: Mutex::new(IdRegistry::default()),
-            stripes: (0..COUNTER_STRIPES)
-                .map(|_| CachePadded::new(CounterStripe::default()))
-                .collect(),
+            stripes: Striped::new(),
         }
-    }
-
-    /// The calling thread's counter stripe. Round-robin assignment means
-    /// threads map to distinct stripes until more than
-    /// [`COUNTER_STRIPES`] have ever counted.
-    #[inline]
-    fn stripe(&self) -> &CounterStripe {
-        &self.stripes[stripe_index()]
     }
 
     /// Number of transactions begun/committed/aborted so far.
@@ -414,11 +374,14 @@ impl Runtime for RealRuntime {
     }
 
     fn mem_access(&self, _line: usize, _kind: AccessKind) {
-        self.stripe().accesses.fetch_add(1, Ordering::Relaxed);
+        self.stripes
+            .local()
+            .accesses
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn tx_event(&self, event: TxEvent) {
-        let stripe = self.stripe();
+        let stripe = self.stripes.local();
         let ctr = match event {
             TxEvent::Begin => &stripe.begins,
             TxEvent::Commit => &stripe.commits,

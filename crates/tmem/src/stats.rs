@@ -2,16 +2,30 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hcf_util::pad::Striped;
+
 use crate::error::AbortCause;
 
 /// Monotonic counters kept by a [`TMem`](crate::TMem) instance.
 ///
 /// These are *substrate-level* statistics (the HCF framework keeps its own
-/// per-phase accounting on top). All counters are updated with relaxed
-/// atomics; snapshots are approximate under concurrency, exact in the
-/// deterministic lockstep runtime.
+/// per-phase accounting on top). The counters are [`Striped`]: each thread
+/// bumps its own cache-padded stripe, so transactions on disjoint data
+/// never serialize on a shared statistics line, and
+/// [`snapshot`](TxStats::snapshot) sums the stripes. Stripes shared by
+/// more than [`COUNTER_STRIPES`](hcf_util::pad::COUNTER_STRIPES) threads
+/// still count exactly (every bump is a `fetch_add`). Snapshots are
+/// approximate under concurrency, exact once the counting threads are
+/// joined.
 #[derive(Debug, Default)]
 pub struct TxStats {
+    stripes: Striped<Counters>,
+}
+
+/// One stripe of [`TxStats`]: nine counters, 72 bytes, inside one
+/// 128-byte padding unit.
+#[derive(Debug, Default)]
+struct Counters {
     commits: AtomicU64,
     aborts_conflict: AtomicU64,
     aborts_capacity: AtomicU64,
@@ -71,39 +85,51 @@ impl TxStats {
     }
 
     pub(crate) fn record_commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.stripes.local().commits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_abort(&self, cause: AbortCause) {
+        let stripe = self.stripes.local();
         let ctr = match cause {
-            AbortCause::Conflict => &self.aborts_conflict,
-            AbortCause::Capacity => &self.aborts_capacity,
-            AbortCause::Explicit(_) => &self.aborts_explicit,
-            AbortCause::OutOfMemory => &self.aborts_oom,
+            AbortCause::Conflict => &stripe.aborts_conflict,
+            AbortCause::Capacity => &stripe.aborts_capacity,
+            AbortCause::Explicit(_) => &stripe.aborts_explicit,
+            AbortCause::OutOfMemory => &stripe.aborts_oom,
         };
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_tx_read(&self) {
-        self.tx_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_tx_write(&self) {
-        self.tx_writes.fetch_add(1, Ordering::Relaxed);
+    /// Publishes one transaction's transactional load and store counts.
+    /// [`Txn`](crate::Txn) counts them in plain fields and calls this once,
+    /// from its `Drop`, instead of bumping a counter per access.
+    pub(crate) fn record_tx_accesses(&self, reads: u64, writes: u64) {
+        let stripe = self.stripes.local();
+        if reads != 0 {
+            stripe.tx_reads.fetch_add(reads, Ordering::Relaxed);
+        }
+        if writes != 0 {
+            stripe.tx_writes.fetch_add(writes, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn record_direct_read(&self) {
-        self.direct_reads.fetch_add(1, Ordering::Relaxed);
+        self.stripes
+            .local()
+            .direct_reads
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_direct_write(&self) {
-        self.direct_writes.fetch_add(1, Ordering::Relaxed);
+        self.stripes
+            .local()
+            .direct_writes
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Takes a snapshot of all counters.
+    /// Takes a snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: all counters are independent monotonic
-    /// `fetch_add(1, Relaxed)` — no code synchronizes through them, so
+    /// `fetch_add(_, Relaxed)` — no code synchronizes through them, so
     /// relaxed loads suffice. End-of-run snapshots are exact (the caller
     /// joins worker threads first, which orders all their increments
     /// before the loads); concurrent snapshots may tear across counters
@@ -111,17 +137,19 @@ impl TxStats {
     /// [`TxStatsSnapshot::commit_ratio`]) only *adds* counters, so a torn
     /// snapshot can under-count but never underflow.
     pub fn snapshot(&self) -> TxStatsSnapshot {
-        TxStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
-            aborts_oom: self.aborts_oom.load(Ordering::Relaxed),
-            tx_reads: self.tx_reads.load(Ordering::Relaxed),
-            tx_writes: self.tx_writes.load(Ordering::Relaxed),
-            direct_reads: self.direct_reads.load(Ordering::Relaxed),
-            direct_writes: self.direct_writes.load(Ordering::Relaxed),
+        let mut t = TxStatsSnapshot::default();
+        for s in self.stripes.iter() {
+            t.commits += s.commits.load(Ordering::Relaxed);
+            t.aborts_conflict += s.aborts_conflict.load(Ordering::Relaxed);
+            t.aborts_capacity += s.aborts_capacity.load(Ordering::Relaxed);
+            t.aborts_explicit += s.aborts_explicit.load(Ordering::Relaxed);
+            t.aborts_oom += s.aborts_oom.load(Ordering::Relaxed);
+            t.tx_reads += s.tx_reads.load(Ordering::Relaxed);
+            t.tx_writes += s.tx_writes.load(Ordering::Relaxed);
+            t.direct_reads += s.direct_reads.load(Ordering::Relaxed);
+            t.direct_writes += s.direct_writes.load(Ordering::Relaxed);
         }
+        t
     }
 }
 
@@ -157,8 +185,7 @@ mod tests {
     #[test]
     fn access_counters() {
         let s = TxStats::new();
-        s.record_tx_read();
-        s.record_tx_write();
+        s.record_tx_accesses(1, 1);
         s.record_direct_read();
         s.record_direct_write();
         let snap = s.snapshot();

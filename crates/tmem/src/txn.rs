@@ -35,6 +35,11 @@ pub struct Txn<'m> {
     scratch: TxnScratch,
     poisoned: Option<AbortCause>,
     finished: bool,
+    /// Transactional loads and stores counted so far, published to
+    /// [`TxStats`](crate::TxStats) once, in `Drop`, instead of one shared
+    /// atomic bump per access.
+    tx_reads: u64,
+    tx_writes: u64,
     /// Sanitizer identity of this transaction (see [`crate::san`]).
     #[cfg(feature = "txsan")]
     san_id: u64,
@@ -64,6 +69,8 @@ impl<'m> Txn<'m> {
             scratch: rt.take_scratch(),
             poisoned: None,
             finished: false,
+            tx_reads: 0,
+            tx_writes: 0,
             #[cfg(feature = "txsan")]
             san_id,
         }
@@ -124,7 +131,7 @@ impl<'m> Txn<'m> {
         if let Some(v) = self.scratch.writes.get(addr.0) {
             return Ok(v);
         }
-        self.mem.stats_ref().record_tx_read();
+        self.tx_reads += 1;
         let line = self.mem.line_of(addr);
         self.rt.mem_access(line, AccessKind::Read);
         // The o1/data/o2 sandwich. Orderings:
@@ -176,7 +183,7 @@ impl<'m> Txn<'m> {
     /// configured limit.
     pub fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
         self.check_poison()?;
-        self.mem.stats_ref().record_tx_write();
+        self.tx_writes += 1;
         let line = self.mem.line_of(addr);
         if self.scratch.writes.get(addr.0).is_none() {
             // Encounter-time coherence event: TSX takes lines exclusive at
@@ -495,6 +502,11 @@ impl Drop for Txn<'_> {
             self.san_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
             self.rollback_internal();
         }
+        // Every `Txn` is dropped exactly once (commit and rollback consume
+        // it), so this is the one place its access counts are published.
+        self.mem
+            .stats_ref()
+            .record_tx_accesses(self.tx_reads, self.tx_writes);
         // Return the scratch (reset by the pool) for the next transaction
         // on this thread.
         self.rt.put_scratch(std::mem::take(&mut self.scratch));

@@ -1,0 +1,124 @@
+//! `TxStats` stays exact when its per-thread stripes are shared and when
+//! transactions publish their access counts once, at drop.
+//!
+//! More threads than `COUNTER_STRIPES` run at once (a barrier holds them
+//! all alive), so by pigeonhole some stripes take concurrent writers.
+//! Each thread's work has known counts, so the totals are known exactly.
+
+use std::sync::Barrier;
+
+use hcf_tmem::stats::TxStatsSnapshot;
+use hcf_tmem::{AbortCause, Addr, RealRuntime, TMem, TMemConfig};
+use hcf_util::pad::COUNTER_STRIPES;
+
+const THREADS: usize = COUNTER_STRIPES + 16;
+/// Committed transactions per thread: 2 reads, 2 writes each.
+const COMMITS: u64 = 40;
+/// Explicit aborts per thread: 1 read each, then `rollback`.
+const EXPLICIT: u64 = 5;
+/// Transactions per thread dropped without commit or rollback: 1 read
+/// and 1 write each, counted as conflict aborts.
+const DROPPED: u64 = 3;
+/// Direct reads and writes per thread.
+const DIRECT: u64 = 7;
+
+/// One thread's known workload on its own three words (disjoint from
+/// every other thread's, so no commit can fail).
+fn work(mem: &TMem, rt: &RealRuntime, a: Addr) {
+    for i in 0..COMMITS {
+        let mut tx = mem.begin(rt);
+        let x = tx.read(a).unwrap();
+        let y = tx.read(a + 1).unwrap();
+        tx.write(a, x + 1).unwrap();
+        tx.write(a + 2, y + i).unwrap();
+        tx.commit().expect("disjoint transactions commit");
+    }
+    for _ in 0..EXPLICIT {
+        let mut tx = mem.begin(rt);
+        tx.read(a).unwrap();
+        assert!(tx.explicit_abort(9).is_err());
+        assert_eq!(tx.rollback(AbortCause::Conflict), AbortCause::Explicit(9));
+    }
+    for _ in 0..DROPPED {
+        let mut tx = mem.begin(rt);
+        tx.read(a + 1).unwrap();
+        tx.write(a + 1, 5).unwrap();
+        drop(tx);
+    }
+    for _ in 0..DIRECT {
+        let v = mem.read_direct(rt, a);
+        mem.write_direct(rt, a + 1, v);
+    }
+}
+
+fn delta(after: TxStatsSnapshot, before: TxStatsSnapshot) -> TxStatsSnapshot {
+    TxStatsSnapshot {
+        commits: after.commits - before.commits,
+        aborts_conflict: after.aborts_conflict - before.aborts_conflict,
+        aborts_capacity: after.aborts_capacity - before.aborts_capacity,
+        aborts_explicit: after.aborts_explicit - before.aborts_explicit,
+        aborts_oom: after.aborts_oom - before.aborts_oom,
+        tx_reads: after.tx_reads - before.tx_reads,
+        tx_writes: after.tx_writes - before.tx_writes,
+        direct_reads: after.direct_reads - before.direct_reads,
+        direct_writes: after.direct_writes - before.direct_writes,
+    }
+}
+
+#[test]
+fn totals_are_exact_with_more_threads_than_stripes() {
+    let mem = TMem::new(TMemConfig::small_word_granular());
+    let rt = RealRuntime::new();
+    let blocks: Vec<Addr> = (0..THREADS).map(|_| mem.alloc_direct(3).unwrap()).collect();
+    let before = mem.stats();
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for &a in &blocks {
+            let (mem, rt, barrier) = (&mem, &rt, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                work(mem, rt, a);
+            });
+        }
+    });
+    let t = THREADS as u64;
+    assert_eq!(
+        delta(mem.stats(), before),
+        TxStatsSnapshot {
+            commits: t * COMMITS,
+            aborts_conflict: t * DROPPED,
+            aborts_capacity: 0,
+            aborts_explicit: t * EXPLICIT,
+            aborts_oom: 0,
+            tx_reads: t * (2 * COMMITS + EXPLICIT + DROPPED),
+            tx_writes: t * (2 * COMMITS + DROPPED),
+            direct_reads: t * DIRECT,
+            direct_writes: t * DIRECT,
+        }
+    );
+}
+
+#[test]
+fn dropped_transaction_publishes_its_counts() {
+    let mem = TMem::new(TMemConfig::small_word_granular());
+    let rt = RealRuntime::new();
+    let a = mem.alloc_direct(4).unwrap();
+    let before = mem.stats();
+    let mut tx = mem.begin(&rt);
+    for i in 0..3 {
+        tx.read(a + i).unwrap();
+    }
+    tx.write(a, 1).unwrap();
+    tx.write(a + 3, 2).unwrap();
+    // Read-your-own-write hits the write buffer and is not a load.
+    assert_eq!(tx.read(a).unwrap(), 1);
+    assert_eq!(
+        delta(mem.stats(), before).tx_reads,
+        0,
+        "counts are published at drop, not per access"
+    );
+    drop(tx);
+    let d = delta(mem.stats(), before);
+    assert_eq!((d.tx_reads, d.tx_writes), (3, 2));
+    assert_eq!((d.commits, d.aborts_conflict), (0, 1));
+}

@@ -13,7 +13,8 @@
 //! * [`sync`] — `parking_lot`-shaped shims ([`sync::Mutex`],
 //!   [`sync::Condvar`], [`sync::SpinMutex`]) over `std::sync`.
 //! * [`pad`] — [`pad::CachePadded`], cache-line-pair alignment against
-//!   false sharing of contended atomics.
+//!   false sharing of contended atomics, and [`pad::Striped`], one padded
+//!   copy per writing thread for counters every thread bumps.
 //! * [`ptest`] — the `proptest_lite` property-testing harness: seeded
 //!   case generation, shrinking by halving, failure-seed reporting.
 //! * [`frame`] — length-prefixed RESP-like framing for the `hcf-kv`
