@@ -11,6 +11,9 @@ cargo build --release --offline --workspace
 echo "==> test (offline, workspace)"
 cargo test -q --offline --workspace
 
+echo "==> test (release, offline): exact striped counts and allocator on optimized code"
+cargo test -q --release --offline -p hcf-util -p hcf-tmem
+
 echo "==> rustdoc (offline, warning-free)"
 RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps --offline --workspace
 

@@ -164,7 +164,9 @@ pub struct NativeRunResult {
     pub threads: usize,
     /// Operations completed (sum over threads).
     pub total_ops: u64,
-    /// Wall-clock duration of the measurement (spawn to last join).
+    /// Wall-clock duration of the measurement: the latest worker's end
+    /// stamp minus the earliest worker's start stamp, so neither thread
+    /// spawning nor the watchdog's polling period is counted.
     pub elapsed_ns: u64,
     /// Operations completed by each worker.
     pub per_thread_ops: Vec<u64>,
@@ -256,6 +258,10 @@ struct Shared {
 
 /// What one worker hands back on completion.
 struct WorkerOut<D: DataStructure> {
+    /// Runtime clock just before the first operation.
+    start_ns: u64,
+    /// Runtime clock just after the last operation.
+    end_ns: u64,
     latencies: Vec<u64>,
     spans: Vec<OpSpan<D::Op, D::Res>>,
 }
@@ -367,7 +373,6 @@ where
         }
     }
 
-    let start = rt.now();
     let mut handles = Vec::with_capacity(cfg.threads);
     for tid in 0..cfg.threads {
         let rt = rt.clone();
@@ -389,6 +394,7 @@ where
             let mut rng = StdRng::seed_from_u64(seed);
             let mut latencies = Vec::with_capacity(ops_per_thread as usize);
             let mut spans = Vec::new();
+            let start_ns = rt.now();
             for _ in 0..ops_per_thread {
                 if shared.stop.load(Ordering::Relaxed) {
                     break;
@@ -410,7 +416,13 @@ where
                 }
                 shared.meter.record(tid, 1);
             }
-            *outs[tid].lock() = Some(WorkerOut { latencies, spans });
+            let end_ns = rt.now();
+            *outs[tid].lock() = Some(WorkerOut {
+                start_ns,
+                end_ns,
+                latencies,
+                spans,
+            });
         }));
     }
 
@@ -444,13 +456,15 @@ where
     for h in handles {
         panicked |= h.join().is_err();
     }
-    let elapsed_ns = rt.now().saturating_sub(start);
     assert!(!panicked, "native worker panicked ({variant})");
 
     let mut latencies = Vec::new();
     let mut history = Vec::new();
+    let (mut first_start, mut last_end) = (u64::MAX, 0);
     for slot in outs.iter() {
         let out = slot.lock().take().expect("worker exited without reporting");
+        first_start = first_start.min(out.start_ns);
+        last_end = last_end.max(out.end_ns);
         latencies.extend(out.latencies);
         history.extend(out.spans);
     }
@@ -460,7 +474,7 @@ where
             variant,
             threads: cfg.threads,
             total_ops: per_thread_ops.iter().sum(),
-            elapsed_ns,
+            elapsed_ns: last_end.saturating_sub(first_start),
             per_thread_ops,
             latency: LatencyStats::from_samples(latencies),
             exec: executor.exec_stats(),

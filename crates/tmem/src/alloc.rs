@@ -8,80 +8,46 @@
 //! keeps seeing a frozen copy of the old contents — a consistent stale
 //! snapshot — and is aborted by read-set validation on the path that led
 //! there, or by the version bump when the block is reused and rewritten.
+//!
+//! Each size class below 64 words has its own cache-padded mutex, and the
+//! larger sizes share one more, so threads that allocate and free blocks
+//! of different sizes never contend on the allocator. Every list stays
+//! last-in-first-out.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hcf_util::pad::CachePadded;
 use hcf_util::sync::Mutex;
 
 use crate::addr::Addr;
 use crate::error::{AbortCause, TxResult};
 
+/// Block sizes below this many words have a directly indexed free list;
+/// every data-structure node in the workspace is far smaller.
+const DIRECT_CLASSES: usize = 64;
+
+/// Start addresses of the free blocks of one size, most recently freed
+/// last.
+type FreeList = Vec<u64>;
+
 /// Word-pool allocator. One per [`TMem`](crate::TMem).
+///
+/// Each free list is last-in-first-out: `alloc` reuses the most recently
+/// freed block of its size. That order decides which addresses the
+/// lockstep figures touch, so it must not change.
 pub struct Allocator {
     /// Bump pointer: index of the next never-allocated word. Starts at 1
     /// because address 0 is the reserved null.
     next: AtomicU64,
     /// Pool capacity in words.
     capacity: u64,
-    free: Mutex<FreeLists>,
-}
-
-/// Block sizes below this many words have a directly indexed free list;
-/// every data-structure node in the workspace is far smaller.
-const DIRECT_CLASSES: usize = 64;
-
-/// Per-size-class free lists, each last-in-first-out: `alloc` reuses the
-/// most recently freed block of its size. That order decides which
-/// addresses the lockstep figures touch, so it must not change.
-struct FreeLists {
     /// `small[w]`: free blocks of `w` words (index 0 unused).
-    small: [Vec<u64>; DIRECT_CLASSES],
+    small: Box<[CachePadded<Mutex<FreeList>>; DIRECT_CLASSES]>,
     /// Free blocks of `DIRECT_CLASSES` words or more, one entry per size
     /// ever freed, sorted by size — bookkeeping grows with the number of
     /// distinct large sizes, never with a block's length.
-    large: Vec<(usize, Vec<u64>)>,
-    /// Number of blocks on all lists.
-    blocks: u64,
-}
-
-impl FreeLists {
-    fn new() -> Self {
-        FreeLists {
-            small: std::array::from_fn(|_| Vec::new()),
-            large: Vec::new(),
-            blocks: 0,
-        }
-    }
-
-    fn pop(&mut self, words: usize) -> Option<u64> {
-        let list = if words < DIRECT_CLASSES {
-            &mut self.small[words]
-        } else {
-            let i = self.large.binary_search_by_key(&words, |e| e.0).ok()?;
-            &mut self.large[i].1
-        };
-        let a = list.pop()?;
-        self.blocks -= 1;
-        Some(a)
-    }
-
-    fn push(&mut self, words: usize, addr: u64) {
-        let list = if words < DIRECT_CLASSES {
-            &mut self.small[words]
-        } else {
-            let i = match self.large.binary_search_by_key(&words, |e| e.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.large.insert(i, (words, Vec::new()));
-                    i
-                }
-            };
-            &mut self.large[i].1
-        };
-        list.push(addr);
-        self.blocks += 1;
-    }
+    large: CachePadded<Mutex<Vec<(usize, FreeList)>>>,
 }
 
 impl Allocator {
@@ -90,7 +56,10 @@ impl Allocator {
         Allocator {
             next: AtomicU64::new(1),
             capacity: capacity as u64,
-            free: Mutex::new(FreeLists::new()),
+            small: Box::new(std::array::from_fn(|_| {
+                CachePadded::new(Mutex::new(Vec::new()))
+            })),
+            large: CachePadded::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -102,10 +71,19 @@ impl Allocator {
     /// the remaining pool can satisfy the request.
     pub fn alloc(&self, words: usize) -> TxResult<Addr> {
         assert!(words > 0, "zero-sized allocation");
-        if let Some(a) = self.free.lock().pop(words) {
-            return Ok(Addr(a));
+        let reused = if words < DIRECT_CLASSES {
+            self.small[words].lock().pop()
+        } else {
+            let mut large = self.large.lock();
+            large
+                .binary_search_by_key(&words, |e| e.0)
+                .ok()
+                .and_then(|i| large[i].1.pop())
+        };
+        match reused {
+            Some(a) => Ok(Addr(a)),
+            None => self.bump(words as u64),
         }
-        self.bump(words as u64)
     }
 
     /// Allocates a block whose start address is a multiple of `align`
@@ -156,7 +134,19 @@ impl Allocator {
     pub fn free(&self, addr: Addr, words: usize) {
         debug_assert!(!addr.is_null(), "freeing the null address");
         debug_assert!(addr.0 + words as u64 <= self.capacity);
-        self.free.lock().push(words, addr.0);
+        if words < DIRECT_CLASSES {
+            self.small[words].lock().push(addr.0);
+            return;
+        }
+        let mut large = self.large.lock();
+        let i = match large.binary_search_by_key(&words, |e| e.0) {
+            Ok(i) => i,
+            Err(i) => {
+                large.insert(i, (words, Vec::new()));
+                i
+            }
+        };
+        large[i].1.push(addr.0);
     }
 
     /// Words handed out so far by the bump pointer (high-water mark).
@@ -164,9 +154,12 @@ impl Allocator {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Number of blocks currently sitting on free lists.
+    /// Number of blocks currently sitting on free lists: the sum over the
+    /// size classes, exact while no thread allocates or frees.
     pub fn free_block_count(&self) -> u64 {
-        self.free.lock().blocks
+        let small: usize = self.small.iter().map(|l| l.lock().len()).sum();
+        let large: usize = self.large.lock().iter().map(|e| e.1.len()).sum();
+        (small + large) as u64
     }
 }
 
@@ -364,13 +357,63 @@ mod tests {
     }
 
     #[test]
+    fn private_and_shared_classes_under_concurrent_alloc_free() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        /// Thread `t` alone uses `PRIVATE[t]` (one of them a large size);
+        /// every thread uses `SHARED`.
+        const PRIVATE: [usize; 4] = [2, 3, 5, 70];
+        const SHARED: usize = 4;
+        let a = Allocator::new(1 << 20);
+        // Blocks currently handed out, and every block ever handed out.
+        let live = Mutex::new(HashSet::new());
+        let seen = Mutex::new(HashSet::new());
+        let barrier = Barrier::new(PRIVATE.len());
+        std::thread::scope(|s| {
+            for (t, &private) in PRIVATE.iter().enumerate() {
+                let (a, live, seen, barrier) = (&a, &live, &seen, &barrier);
+                s.spawn(move || {
+                    let mut held = Vec::new();
+                    barrier.wait();
+                    for i in 0..3_000usize {
+                        let words = if i % 2 == 0 { private } else { SHARED };
+                        let b = a.alloc(words).unwrap();
+                        assert!(live.lock().insert(b.0), "{b:?} handed out twice");
+                        seen.lock().insert((b.0, words));
+                        held.push((b, words));
+                        if (i + t) % 3 != 0 {
+                            let (b, w) = held.swap_remove(i % held.len());
+                            // Off the live set before another thread can
+                            // be handed the block again.
+                            live.lock().remove(&b.0);
+                            a.free(b, w);
+                        }
+                    }
+                    for (b, w) in held {
+                        live.lock().remove(&b.0);
+                        a.free(b, w);
+                    }
+                });
+            }
+        });
+        let seen = seen.into_inner();
+        // Every block handed out was freed again, so the free lists hold
+        // exactly the distinct blocks ever handed out.
+        assert_eq!(a.free_block_count(), seen.len() as u64);
+        // And no two of those blocks overlap.
+        let mut blocks: Vec<_> = seen.into_iter().collect();
+        blocks.sort_unstable();
+        for pair in blocks.windows(2) {
+            let ((a0, w0), (a1, _)) = (pair[0], pair[1]);
+            assert!(a0 + w0 as u64 <= a1, "blocks at {a0} and {a1} overlap");
+        }
+    }
+
+    #[test]
     fn large_block_bookkeeping_does_not_grow_with_its_size() {
         const BIG: usize = 1 << 16;
         let a = Allocator::new(4 * BIG);
-        let slots = |a: &Allocator| {
-            let free = a.free.lock();
-            free.small.len() + free.large.len()
-        };
+        let slots = |a: &Allocator| a.small.len() + a.large.lock().len();
         let empty = slots(&a);
         let b = a.alloc(BIG).unwrap();
         a.free(b, BIG);

@@ -192,13 +192,16 @@ struct CounterStripe {
 /// Pass-through runtime for ordinary execution: threads run freely, time is
 /// wall time, and per-access cost hooks only bump counters.
 ///
-/// The counters are [`Striped`]: each OS thread bumps its own cache-padded
-/// stripe, assigned round-robin on first use and deliberately *not* by
-/// [`Runtime::thread_id`] (resolving a dense id inside `mem_access` would
-/// implicitly register threads and shift every later thread's id).
-/// `mem_access` runs on every transactional load and store, and a single
-/// shared `fetch_add` target would serialize all worker threads on one
-/// cache line — false sharing on the hottest counter in the workspace.
+/// The counters are [`Striped`]: each OS thread bumps a cache-padded
+/// stripe it leases exclusively on first use and returns when it exits,
+/// chosen deliberately *not* by [`Runtime::thread_id`] (resolving a dense
+/// id inside `mem_access` would implicitly register threads and shift
+/// every later thread's id). `mem_access` runs on every transactional load
+/// and store: a single shared `fetch_add` target would serialize all
+/// worker threads on one cache line, and even a private one would cost a
+/// lock-prefixed RMW per access, so an owner bumps with a plain load and
+/// store. Threads that find no free stripe share an overflow stripe, still
+/// bumped with `fetch_add`, so counts stay exact.
 pub struct RealRuntime {
     start: Instant,
     token: u64,
@@ -374,20 +377,18 @@ impl Runtime for RealRuntime {
     }
 
     fn mem_access(&self, _line: usize, _kind: AccessKind) {
-        self.stripes
-            .local()
-            .accesses
-            .fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(|s| &s.accesses, 1);
     }
 
     fn tx_event(&self, event: TxEvent) {
-        let stripe = self.stripes.local();
-        let ctr = match event {
-            TxEvent::Begin => &stripe.begins,
-            TxEvent::Commit => &stripe.commits,
-            TxEvent::Abort => &stripe.aborts,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(
+            |s| match event {
+                TxEvent::Begin => &s.begins,
+                TxEvent::Commit => &s.commits,
+                TxEvent::Abort => &s.aborts,
+            },
+            1,
+        );
     }
 
     /// `RealRuntime` counts accesses but does not model coherence, so it

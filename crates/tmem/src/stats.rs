@@ -10,13 +10,14 @@ use crate::error::AbortCause;
 ///
 /// These are *substrate-level* statistics (the HCF framework keeps its own
 /// per-phase accounting on top). The counters are [`Striped`]: each thread
-/// bumps its own cache-padded stripe, so transactions on disjoint data
-/// never serialize on a shared statistics line, and
-/// [`snapshot`](TxStats::snapshot) sums the stripes. Stripes shared by
-/// more than [`COUNTER_STRIPES`](hcf_util::pad::COUNTER_STRIPES) threads
-/// still count exactly (every bump is a `fetch_add`). Snapshots are
-/// approximate under concurrency, exact once the counting threads are
-/// joined.
+/// bumps a cache-padded stripe it leases exclusively, with a plain load and
+/// store, so transactions on disjoint data never serialize on a shared
+/// statistics line nor pay a lock-prefixed RMW, and
+/// [`snapshot`](TxStats::snapshot) sums the stripes. Threads beyond the
+/// [`COUNTER_STRIPES`](hcf_util::pad::COUNTER_STRIPES) live at once share
+/// an overflow stripe bumped with `fetch_add`, so counts stay exact.
+/// Snapshots are approximate under concurrency, exact once the counting
+/// threads are joined.
 #[derive(Debug, Default)]
 pub struct TxStats {
     stripes: Striped<Counters>,
@@ -85,57 +86,52 @@ impl TxStats {
     }
 
     pub(crate) fn record_commit(&self) {
-        self.stripes.local().commits.fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(|s| &s.commits, 1);
     }
 
     pub(crate) fn record_abort(&self, cause: AbortCause) {
-        let stripe = self.stripes.local();
-        let ctr = match cause {
-            AbortCause::Conflict => &stripe.aborts_conflict,
-            AbortCause::Capacity => &stripe.aborts_capacity,
-            AbortCause::Explicit(_) => &stripe.aborts_explicit,
-            AbortCause::OutOfMemory => &stripe.aborts_oom,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(
+            |s| match cause {
+                AbortCause::Conflict => &s.aborts_conflict,
+                AbortCause::Capacity => &s.aborts_capacity,
+                AbortCause::Explicit(_) => &s.aborts_explicit,
+                AbortCause::OutOfMemory => &s.aborts_oom,
+            },
+            1,
+        );
     }
 
     /// Publishes one transaction's transactional load and store counts.
     /// [`Txn`](crate::Txn) counts them in plain fields and calls this once,
     /// from its `Drop`, instead of bumping a counter per access.
     pub(crate) fn record_tx_accesses(&self, reads: u64, writes: u64) {
-        let stripe = self.stripes.local();
         if reads != 0 {
-            stripe.tx_reads.fetch_add(reads, Ordering::Relaxed);
+            self.stripes.add(|s| &s.tx_reads, reads);
         }
         if writes != 0 {
-            stripe.tx_writes.fetch_add(writes, Ordering::Relaxed);
+            self.stripes.add(|s| &s.tx_writes, writes);
         }
     }
 
     pub(crate) fn record_direct_read(&self) {
-        self.stripes
-            .local()
-            .direct_reads
-            .fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(|s| &s.direct_reads, 1);
     }
 
     pub(crate) fn record_direct_write(&self) {
-        self.stripes
-            .local()
-            .direct_writes
-            .fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(|s| &s.direct_writes, 1);
     }
 
     /// Takes a snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: all counters are independent monotonic
-    /// `fetch_add(_, Relaxed)` — no code synchronizes through them, so
-    /// relaxed loads suffice. End-of-run snapshots are exact (the caller
-    /// joins worker threads first, which orders all their increments
-    /// before the loads); concurrent snapshots may tear across counters
-    /// but every derived metric here ([`TxStatsSnapshot::aborts`],
-    /// [`TxStatsSnapshot::commit_ratio`]) only *adds* counters, so a torn
-    /// snapshot can under-count but never underflow.
+    /// relaxed counters (see [`Striped::add`]) — no code synchronizes
+    /// through them, so relaxed loads suffice. End-of-run snapshots are
+    /// exact (the caller joins worker threads first, which orders all
+    /// their increments before the loads); concurrent snapshots may tear
+    /// across counters but every derived metric here
+    /// ([`TxStatsSnapshot::aborts`], [`TxStatsSnapshot::commit_ratio`])
+    /// only *adds* counters, so a torn snapshot can under-count but never
+    /// underflow.
     pub fn snapshot(&self) -> TxStatsSnapshot {
         let mut t = TxStatsSnapshot::default();
         for s in self.stripes.iter() {

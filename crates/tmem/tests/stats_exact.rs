@@ -1,8 +1,10 @@
-//! `TxStats` stays exact when its per-thread stripes are shared and when
+//! `TxStats` and `RealRuntime` counts stay exact when threads share the
+//! overflow stripe, when exited threads hand their stripes on, and when
 //! transactions publish their access counts once, at drop.
 //!
 //! More threads than `COUNTER_STRIPES` run at once (a barrier holds them
-//! all alive), so by pigeonhole some stripes take concurrent writers.
+//! all alive), so some share the overflow stripe; and many more threads
+//! than stripes run one after another, so stripes pass between owners.
 //! Each thread's work has known counts, so the totals are known exactly.
 
 use std::sync::Barrier;
@@ -96,6 +98,46 @@ fn totals_are_exact_with_more_threads_than_stripes() {
             direct_writes: t * DIRECT,
         }
     );
+}
+
+#[test]
+fn totals_are_exact_when_threads_churn_through_stripes() {
+    const CHURN: usize = 200;
+    let mem = TMem::new(TMemConfig::small_word_granular());
+    let rt = RealRuntime::new();
+    let a = mem.alloc_direct(3).unwrap();
+    let before = mem.stats();
+    // One at a time, so every thread can lease a stripe, and each stripe
+    // passes through several owners (`join` returns after the lease is
+    // released).
+    for _ in 0..CHURN {
+        std::thread::scope(|s| s.spawn(|| work(&mem, &rt, a)).join().unwrap());
+    }
+    let t = CHURN as u64;
+    let tx_reads = 2 * COMMITS + EXPLICIT + DROPPED;
+    let tx_writes = 2 * COMMITS + DROPPED;
+    assert_eq!(
+        delta(mem.stats(), before),
+        TxStatsSnapshot {
+            commits: t * COMMITS,
+            aborts_conflict: t * DROPPED,
+            aborts_capacity: 0,
+            aborts_explicit: t * EXPLICIT,
+            aborts_oom: 0,
+            tx_reads: t * tx_reads,
+            tx_writes: t * tx_writes,
+            direct_reads: t * DIRECT,
+            direct_writes: t * DIRECT,
+        }
+    );
+    let begins = COMMITS + EXPLICIT + DROPPED;
+    assert_eq!(
+        rt.tx_counts(),
+        (t * begins, t * COMMITS, t * (EXPLICIT + DROPPED))
+    );
+    // Each transactional write is to a word not yet written in its
+    // transaction, so every load and store reaches the runtime's hook.
+    assert_eq!(rt.access_count(), t * (tx_reads + tx_writes + 2 * DIRECT));
 }
 
 #[test]

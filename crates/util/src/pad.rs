@@ -15,13 +15,17 @@
 //!
 //! [`Striped<T>`] goes one step further for state that *every* thread
 //! writes, such as statistics counters: it keeps one padded copy of `T`
-//! per thread (up to [`COUNTER_STRIPES`] threads), so writers never
-//! share a line, and readers sum the stripes.
+//! per thread. A thread leases a stripe of its own on first use and
+//! returns it when it exits, so up to [`COUNTER_STRIPES`] live threads
+//! write without sharing a line, and without a lock-prefixed
+//! read-modify-write: an owner bumps its counters with a plain relaxed
+//! load and store ([`Striped::add`]). Threads beyond that share one extra
+//! overflow stripe, bumped with `fetch_add`. Readers sum the stripes.
 
 use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wraps a value, aligning it to its own 128-byte cache-line pair.
 ///
@@ -82,75 +86,163 @@ impl<T: fmt::Debug> fmt::Debug for CachePadded<T> {
     }
 }
 
-/// Number of stripes in every [`Striped`] value (a power of two).
-/// Threads pick stripes round-robin on first use, so up to this many
-/// threads write without ever touching a shared cache line.
+/// Number of exclusively leased stripes in every [`Striped`] value: up to
+/// this many threads at once own a stripe each. One bit of the lease mask
+/// per stripe, so at most 64.
 pub const COUNTER_STRIPES: usize = 64;
 
-/// Round-robin source of stripe indices (see [`STRIPE_IDX`]).
-static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
+const _: () = assert!(COUNTER_STRIPES <= u64::BITS as usize);
+
+/// Index of the stripe shared by threads that found no free stripe. It is
+/// the one stripe written with `fetch_add`.
+const OVERFLOW: usize = COUNTER_STRIPES;
+
+/// Lease mask: bit `i` set means stripe `i` is free.
+static FREE_STRIPES: AtomicU64 = AtomicU64::new(u64::MAX >> (64 - COUNTER_STRIPES));
 
 thread_local! {
-    /// The calling thread's stripe index, assigned round-robin on first
-    /// use. Deliberately independent of any dense thread id a runtime
-    /// hands out: stripes are touched inside per-access hooks, and
-    /// resolving such an id there would *implicitly register* threads
-    /// (such as a main thread doing direct setup) that previously never
-    /// got one, shifting every later thread's id.
+    /// The calling thread's stripe: `usize::MAX` before first use, a
+    /// leased stripe below [`COUNTER_STRIPES`], or [`OVERFLOW`]. Read on
+    /// every bump, so it is a `const` `Cell` with no destructor: reading
+    /// it is one thread-local load, with no lazy-initialization check.
+    ///
+    /// Deliberately independent of any dense thread id a runtime hands
+    /// out: stripes are touched inside per-access hooks, and resolving
+    /// such an id there would *implicitly register* threads (such as a
+    /// main thread doing direct setup) that previously never got one,
+    /// shifting every later thread's id.
     static STRIPE_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
+
+    /// Releases the calling thread's lease when the thread exits. Touched
+    /// only when the lease is taken, which registers its destructor.
+    static LEASE: Lease = const { Lease(Cell::new(OVERFLOW)) };
 }
 
-/// The calling thread's stripe index in `0..COUNTER_STRIPES`. One index
-/// per OS thread, shared by every [`Striped`] value.
-#[inline]
-fn stripe_index() -> usize {
-    let cached = STRIPE_IDX.get();
-    if cached != usize::MAX {
-        return cached;
+/// A thread's stripe lease; see [`LEASE`].
+struct Lease(Cell<usize>);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let idx = self.0.get();
+        if idx < COUNTER_STRIPES {
+            // Bumps made later in this thread's teardown (by other
+            // thread-local destructors) go to the shared overflow stripe.
+            STRIPE_IDX.set(OVERFLOW);
+            // Release: pairs with the Acquire of the next lease of this
+            // stripe, so its owner's first load sees this thread's last
+            // store and no count is lost.
+            FREE_STRIPES.fetch_or(1 << idx, Ordering::Release);
+        }
     }
-    // Relaxed: the sequence only spreads threads over stripes; nothing
-    // is published through it.
-    let idx = STRIPE_SEQ.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
+}
+
+/// Leases the lowest free stripe, or returns [`OVERFLOW`] when none is
+/// free or the thread is already tearing down.
+#[cold]
+fn lease_stripe() -> usize {
+    let idx = LEASE
+        .try_with(|lease| {
+            let mut free = FREE_STRIPES.load(Ordering::Relaxed);
+            while free != 0 {
+                let idx = free.trailing_zeros() as usize;
+                // Acquire: pairs with the Release in `Lease::drop` of the
+                // stripe's previous owner.
+                match FREE_STRIPES.compare_exchange_weak(
+                    free,
+                    free & !(1 << idx),
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        lease.0.set(idx);
+                        return idx;
+                    }
+                    Err(now) => free = now,
+                }
+            }
+            OVERFLOW
+        })
+        .unwrap_or(OVERFLOW);
     STRIPE_IDX.set(idx);
     idx
 }
 
-/// [`COUNTER_STRIPES`] cache-padded copies of `T`, one per writing thread.
+/// The calling thread's stripe index: below [`COUNTER_STRIPES`] for a
+/// leased stripe, [`OVERFLOW`] for the shared one. One index per OS
+/// thread, shared by every [`Striped`] value.
+#[inline]
+fn stripe_index() -> usize {
+    match STRIPE_IDX.get() {
+        usize::MAX => lease_stripe(),
+        idx => idx,
+    }
+}
+
+/// [`COUNTER_STRIPES`] cache-padded copies of `T` leased one per thread,
+/// plus one overflow copy shared by all other threads.
 ///
-/// Each thread writes only [`local`](Striped::local), its own stripe;
-/// readers combine all stripes through [`iter`](Striped::iter). Threads
-/// map to distinct stripes until more than [`COUNTER_STRIPES`] have ever
-/// written, after which stripes are shared, so `T` must stay correct
-/// under concurrent writers (e.g. `fetch_add` counters, which then stay
-/// exact and merely contend).
+/// A thread leases a stripe from a global free mask on its first
+/// [`add`](Striped::add), and releases it when it exits, so stripes are
+/// recycled across thread churn. The stripe index is global: a thread owns
+/// the same stripe of every `Striped` value. The owner is the stripe's
+/// only writer, so it bumps counters with a plain load and store and no
+/// lock-prefixed read-modify-write. Threads that find every stripe leased
+/// share the overflow stripe, which is bumped with `fetch_add`, so counts
+/// stay exact at any thread count. Readers combine all stripes through
+/// [`iter`](Striped::iter).
 pub struct Striped<T> {
-    stripes: Box<[CachePadded<T>; COUNTER_STRIPES]>,
+    stripes: Box<[CachePadded<T>; COUNTER_STRIPES + 1]>,
 }
 
 impl<T: Default> Striped<T> {
-    /// Creates [`COUNTER_STRIPES`] default stripes.
+    /// Creates [`COUNTER_STRIPES`] default stripes and the overflow stripe.
     pub fn new() -> Self {
-        let stripes: Box<[CachePadded<T>]> = (0..COUNTER_STRIPES)
+        let stripes: Box<[CachePadded<T>]> = (0..=COUNTER_STRIPES)
             .map(|_| CachePadded::new(T::default()))
             .collect();
         Striped {
             stripes: stripes
                 .try_into()
-                .unwrap_or_else(|_| unreachable!("exactly COUNTER_STRIPES stripes")),
+                .unwrap_or_else(|_| unreachable!("exactly COUNTER_STRIPES + 1 stripes")),
         }
     }
 }
 
 impl<T> Striped<T> {
-    /// The calling thread's stripe.
+    /// Adds `n` to the counter that `counter` selects in the calling
+    /// thread's stripe. `counter` must return a field of the stripe it is
+    /// given: the plain store below is exact only because the stripe has
+    /// one writer.
+    ///
+    /// On a leased stripe this is a relaxed load and store (the thread is
+    /// the only writer); on the overflow stripe a relaxed `fetch_add`.
+    /// Counters publish nothing else, so relaxed suffices: a reader that
+    /// joined the writers sees exact totals.
     #[inline]
-    pub fn local(&self) -> &T {
-        // The mask lets the compiler drop the bounds check; the index is
-        // already in range.
-        &self.stripes[stripe_index() & (COUNTER_STRIPES - 1)]
+    pub fn add(&self, counter: impl FnOnce(&T) -> &AtomicU64, n: u64) {
+        let idx = STRIPE_IDX.get();
+        if idx < COUNTER_STRIPES {
+            let c = counter(&self.stripes[idx]);
+            c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        } else {
+            self.add_slow(counter, n);
+        }
     }
 
-    /// All stripes, for summing.
+    /// [`add`](Striped::add) for a thread without a leased stripe: first
+    /// use, or the overflow stripe.
+    #[cold]
+    #[inline(never)]
+    fn add_slow(&self, counter: impl FnOnce(&T) -> &AtomicU64, n: u64) {
+        if stripe_index() == OVERFLOW {
+            counter(&self.stripes[OVERFLOW]).fetch_add(n, Ordering::Relaxed);
+        } else {
+            // Leased just now: take the fast path.
+            self.add(counter, n);
+        }
+    }
+
+    /// All stripes, the overflow stripe included, for summing.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.stripes.iter().map(|s| &**s)
     }
@@ -203,27 +295,110 @@ mod tests {
         assert_eq!(format!("{c:?}"), "42");
     }
 
+    /// Serializes the tests that lease many stripes at once, so that the
+    /// recycling test finds stripes free.
+    static LEASE_TESTS: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+
+    fn lease_tests() -> crate::sync::MutexGuard<'static, ()> {
+        LEASE_TESTS.lock()
+    }
+
+    fn total(s: &Striped<AtomicU64>) -> u64 {
+        s.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
     #[test]
     fn stripe_index_is_stable_and_in_range() {
         let i = stripe_index();
-        assert!(i < COUNTER_STRIPES);
+        assert!(i < COUNTER_STRIPES || i == OVERFLOW, "index {i}");
         assert_eq!(stripe_index(), i, "stable within a thread");
     }
 
     #[test]
     fn striped_counts_are_exact_with_more_threads_than_stripes() {
+        let _serial = lease_tests();
         let s: Striped<AtomicU64> = Striped::new();
         let threads = COUNTER_STRIPES + 16;
+        // All threads hold their lease at once, so at least 16 of them
+        // share the overflow stripe.
+        let barrier = std::sync::Barrier::new(threads);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    for _ in 0..100 {
-                        s.local().fetch_add(1, Ordering::Relaxed);
+                    s.add(|c| c, 1);
+                    barrier.wait();
+                    for _ in 1..1_000 {
+                        s.add(|c| c, 1);
                     }
                 });
             }
         });
-        let total: u64 = s.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        assert_eq!(total, threads as u64 * 100);
+        assert_eq!(total(&s), threads as u64 * 1_000);
+    }
+
+    #[test]
+    fn exited_threads_return_their_stripes() {
+        let _serial = lease_tests();
+        let s = std::sync::Arc::new(Striped::<AtomicU64>::new());
+        let threads = 3 * COUNTER_STRIPES;
+        // One at a time: `join` returns after the thread's lease is
+        // released, so without recycling the 65th thread would find no
+        // free stripe.
+        for _ in 0..threads {
+            let s = s.clone();
+            let idx = std::thread::spawn(move || {
+                for _ in 0..100 {
+                    s.add(|c| c, 1);
+                }
+                stripe_index()
+            })
+            .join()
+            .unwrap();
+            assert!(idx < COUNTER_STRIPES, "thread got the overflow stripe");
+        }
+        assert_eq!(total(&s), threads as u64 * 100);
+    }
+
+    /// Bumps a counter from a thread-local destructor, during teardown.
+    struct BumpOnExit(std::cell::RefCell<Option<std::sync::Arc<Striped<AtomicU64>>>>);
+
+    impl Drop for BumpOnExit {
+        fn drop(&mut self) {
+            if let Some(s) = self.0.borrow_mut().take() {
+                s.add(|c| c, 1);
+            }
+        }
+    }
+
+    thread_local! {
+        static BUMP_ON_EXIT: BumpOnExit = const { BumpOnExit(std::cell::RefCell::new(None)) };
+    }
+
+    #[test]
+    fn bumps_during_thread_teardown_are_counted() {
+        let s = std::sync::Arc::new(Striped::<AtomicU64>::new());
+        let arm = |s: &std::sync::Arc<Striped<AtomicU64>>| {
+            BUMP_ON_EXIT.with(|b| *b.0.borrow_mut() = Some(s.clone()));
+        };
+        // The order in which the bump's destructor and the lease's are
+        // registered decides which runs first; both orders must count.
+        for order in 0..3 {
+            let s = s.clone();
+            std::thread::spawn(move || match order {
+                0 => {
+                    arm(&s);
+                    s.add(|c| c, 1);
+                }
+                1 => {
+                    s.add(|c| c, 1);
+                    arm(&s);
+                }
+                // The first bump comes from the destructor itself.
+                _ => arm(&s),
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(total(&s), 5);
     }
 }

@@ -1,7 +1,8 @@
 //! Native-mode smoke tests: every synchronization variant on real OS
 //! threads, with recorded histories checked for linearizability; the
-//! watchdog catching a deliberately stalled executor; and thread-id
-//! recycling keeping a long-lived engine usable from short-lived threads.
+//! watchdog catching a deliberately stalled executor; thread-id
+//! recycling keeping a long-lived engine usable from short-lived threads;
+//! and the run's elapsed time covering the workers, not the watchdog.
 //!
 //! These are the wall-clock counterparts of `lincheck_e2e.rs` — same
 //! sequential specification, but genuine preemptive interleavings instead
@@ -9,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use hcf_core::{ExecStatsSnapshot, Executor, HcfConfig, Variant};
 use hcf_ds::{HashTable, HashTableDs, MapOp};
@@ -70,6 +72,47 @@ fn all_variants_native_runs_are_linearizable() {
             "{v} produced a non-linearizable native history"
         );
     }
+}
+
+/// `elapsed_ns` runs from the earliest worker start to the latest worker
+/// end: it lies inside the call (which spawns and joins the workers),
+/// covers every worker's operations, and does not wait for the
+/// watchdog's next poll, which a spawn-to-join clock would count.
+#[test]
+fn elapsed_time_covers_the_workers_and_not_the_watchdog_poll() {
+    let mut cfg = NativeConfig::new(2)
+        .with_ops(50)
+        .with_seed(5)
+        .with_history(true);
+    cfg.poll_ms = 300;
+    let call = Instant::now();
+    let (r, history) = run_native(&cfg, Variant::Hcf, build_map, conflict_gen)
+        .unwrap_or_else(|e| panic!("stalled: {e}"));
+    let call_ns = call.elapsed().as_nanos() as u64;
+    assert!(r.elapsed_ns > 0);
+    assert!(
+        r.elapsed_ns <= call_ns,
+        "elapsed {} ns outside the {call_ns} ns call",
+        r.elapsed_ns
+    );
+    for tid in 0..cfg.threads {
+        let ops = history.iter().filter(|s| s.tid == tid);
+        let first_invoke = ops.clone().map(|s| s.invoke).min().expect("worker ran");
+        let last_response = ops.map(|s| s.response).max().expect("worker ran");
+        assert!(
+            r.elapsed_ns >= last_response - first_invoke,
+            "elapsed {} ns shorter than worker {tid}'s {} ns of operations",
+            r.elapsed_ns,
+            last_response - first_invoke
+        );
+    }
+    // 100 hash-table operations take well under a millisecond; the
+    // watchdog sleeps a whole poll period before it sees them done.
+    assert!(
+        r.elapsed_ns < cfg.poll_ms * 1_000_000 / 2,
+        "elapsed {} ns includes the watchdog's poll",
+        r.elapsed_ns
+    );
 }
 
 /// An executor that accepts one operation per thread and then wedges,
