@@ -29,10 +29,10 @@ cargo test -q --offline -p hcf-kv --test loopback --test lincheck_incr
 cargo run -q --release --offline -p hcf-bench --bin kvbench -- --smoke
 
 echo "==> lockstep fidelity: reduced figure2/figure5/extra_pq CSVs match data/lockstep_golden.sha256"
-# The seed and clock mode are pinned to their defaults so an exported
-# HCF_SEED or HCF_CLOCK_MODE cannot change the figures.
+# The seed is pinned to its default so an exported HCF_SEED cannot
+# change the figures.
 for bin in figure2 figure5 extra_pq; do
-  env -u HCF_SEED -u HCF_CLOCK_MODE HCF_DURATION=200000 HCF_THREADS=1,8,36 \
+  env -u HCF_SEED HCF_DURATION=200000 HCF_THREADS=1,8,36 \
     cargo run -q --release --offline -p hcf-bench --bin "$bin" >/dev/null
 done
 (cd target/figures && sha256sum --check --strict ../../data/lockstep_golden.sha256)
@@ -41,18 +41,11 @@ echo "==> perfbench: the repository benchmark's own tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 python3 -m unittest perfbench/test_spread.py
 
-echo "==> bench targets compile (criterion-bench feature)"
-cargo build --offline -p hcf-bench --benches --features criterion-bench
-
 echo "==> sim suite under the txsan sanitizer feature"
 cargo test -q --offline -p hcf-sim --features txsan
 
 echo "==> sanitizer: replay checker, negative (seeded-bug) and full-run tests"
 cargo test -q --offline -p san
-
-echo "==> sanitizer full-run + sim txsan suite under the GV5 clock mode"
-HCF_CLOCK_MODE=gv5 cargo test -q --offline -p san --test full_run
-HCF_CLOCK_MODE=gv5 cargo test -q --offline -p hcf-sim --features txsan
 
 echo "==> hcf-lint (source access discipline; see docs/SANITIZER.md)"
 cargo run -q --offline -p san --bin hcf-lint

@@ -62,7 +62,6 @@ fn main() {
                 words_per_line_log2: 3,
                 read_cap_lines: read_cap,
                 write_cap_lines: 64,
-                ..TMemConfig::default()
             };
             let stride = cfg.tmem.words_per_line() as u64;
             let r = run(

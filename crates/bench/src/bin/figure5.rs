@@ -5,7 +5,7 @@
 //! * (b) 40% Find;
 //! * (c) 80% Find;
 //! * `ablate`: the §3.4 ablations of the HCF variant itself (Selective
-//!   vs. HelpAll vs. NoCombine vs. TwoArrays) on the 40%-Find workload.
+//!   vs. HelpAll vs. NoCombine vs. SameKey) on the 40%-Find workload.
 //!
 //! Usage: `figure5 [a|b|c|ablate|all]` (default `all`).
 

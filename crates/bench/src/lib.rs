@@ -11,6 +11,7 @@
 //! * `HCF_THREADS` — comma-separated thread counts overriding the sweep.
 //! * `HCF_SEED` — workload seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::io::Write as _;

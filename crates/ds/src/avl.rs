@@ -19,10 +19,8 @@
 //! [0] key   [1] left   [2] right   [3] height
 //! ```
 
-use std::sync::Arc;
-
 use hcf_core::{DataStructure, HcfConfig, PhasePolicy, SelectPolicy};
-use hcf_tmem::{Addr, MemCtx, Runtime, TMem, TxResult};
+use hcf_tmem::{Addr, MemCtx, TxResult};
 
 const NODE_WORDS: usize = 4;
 const F_KEY: u64 = 0;
@@ -413,8 +411,7 @@ impl SetOp {
 
 /// Combining strategy of the [`AvlDs`] wrapper — the §3.4 variants,
 /// including the ablations discussed at the end of that section.
-#[derive(Clone, Default)]
-#[allow(missing_debug_implementations)]
+#[derive(Clone, Debug, Default)]
 pub enum AvlMode {
     /// The paper's preferred variant: one publication array, a combiner
     /// selects only operations on keys in the same root subtree as its
@@ -426,9 +423,6 @@ pub enum AvlMode {
     /// Ablation: help everyone but replay operations one by one (no
     /// combining or elimination).
     NoCombine,
-    /// Ablation: two static publication arrays, one per root subtree
-    /// (routing reads the look-aside directly, hence the handles).
-    TwoArrays(Arc<TMem>, Arc<dyn Runtime>),
     /// The other §2.4 selection mechanism: combine only operations on
     /// the *same key* as the combiner's own (maximal elimination, minimal
     /// batch footprint).
@@ -436,22 +430,10 @@ pub enum AvlMode {
 }
 
 /// [`DataStructure`] wrapper for the AVL set.
+#[derive(Debug)]
 pub struct AvlDs {
     tree: AvlTree,
     mode: AvlMode,
-}
-
-impl std::fmt::Debug for AvlDs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match self.mode {
-            AvlMode::Selective => "Selective",
-            AvlMode::HelpAll => "HelpAll",
-            AvlMode::NoCombine => "NoCombine",
-            AvlMode::TwoArrays(..) => "TwoArrays",
-            AvlMode::SameKey => "SameKey",
-        };
-        f.debug_struct("AvlDs").field("mode", &mode).finish()
-    }
 }
 
 impl AvlDs {
@@ -477,7 +459,7 @@ impl AvlDs {
     pub fn hcf_config(max_threads: usize, mode: &AvlMode) -> HcfConfig {
         let select = match mode {
             AvlMode::Selective | AvlMode::SameKey => SelectPolicy::ShouldHelp,
-            AvlMode::HelpAll | AvlMode::NoCombine | AvlMode::TwoArrays(..) => SelectPolicy::All,
+            AvlMode::HelpAll | AvlMode::NoCombine => SelectPolicy::All,
         };
         HcfConfig::new(max_threads).with_default_policy(
             PhasePolicy::hcf_default()
@@ -485,33 +467,11 @@ impl AvlDs {
                 .specialized(true),
         )
     }
-
-    /// Which root subtree `key` falls in, per the look-aside (`false` =
-    /// left/less-than, `true` = right/greater-or-equal).
-    fn side_direct(&self, mem: &TMem, rt: &dyn Runtime, key: u64) -> bool {
-        key >= mem.read_direct(rt, self.tree.root_key_addr())
-    }
 }
 
 impl DataStructure for AvlDs {
     type Op = SetOp;
     type Res = bool;
-
-    fn num_arrays(&self) -> usize {
-        match self.mode {
-            AvlMode::TwoArrays(..) => 2,
-            _ => 1,
-        }
-    }
-
-    fn array_of(&self, op: &SetOp) -> usize {
-        match &self.mode {
-            AvlMode::TwoArrays(mem, rt) => {
-                usize::from(self.side_direct(mem, rt.as_ref(), op.key()))
-            }
-            _ => 0,
-        }
-    }
 
     fn run_seq(&self, ctx: &mut dyn MemCtx, op: &SetOp) -> TxResult<bool> {
         match *op {
@@ -598,7 +558,7 @@ impl DataStructure for AvlDs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcf_tmem::{DirectCtx, RealRuntime, TMemConfig};
+    use hcf_tmem::{DirectCtx, RealRuntime, TMem, TMemConfig};
     use std::collections::BTreeSet;
 
     fn setup() -> (TMem, RealRuntime) {
@@ -795,22 +755,5 @@ mod tests {
         let mine_r = SetOp::Contains(90);
         assert!(ds.should_help(&mut ctx, &mine_r, &SetOp::Insert(60)));
         assert!(!ds.should_help(&mut ctx, &mine_r, &SetOp::Insert(10)));
-    }
-
-    #[test]
-    fn two_arrays_mode_routes_by_side() {
-        let (m, rt) = setup();
-        let m = std::sync::Arc::new(m);
-        let rt = std::sync::Arc::new(rt);
-        let mut ctx = DirectCtx::new(&m, rt.as_ref());
-        let t = AvlTree::create(&mut ctx).unwrap();
-        for k in [50, 25, 75] {
-            t.insert(&mut ctx, k).unwrap();
-        }
-        let ds = AvlDs::new(t, AvlMode::TwoArrays(m.clone(), rt.clone()));
-        assert_eq!(ds.num_arrays(), 2);
-        assert_eq!(ds.array_of(&SetOp::Insert(10)), 0);
-        assert_eq!(ds.array_of(&SetOp::Insert(80)), 1);
-        assert_eq!(ds.array_of(&SetOp::Insert(50)), 1);
     }
 }

@@ -29,6 +29,7 @@
 //! an op/result enum, a [`hcf_core::DataStructure`] wrapper, and the tuned
 //! [`hcf_core::HcfConfig`] used by the experiments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -69,6 +69,7 @@
 //! assert_eq!(engine.execute(Add(3)), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -44,7 +44,6 @@ fn capacity_aborts_fall_through_to_the_lock() {
         words_per_line_log2: 0,
         read_cap_lines: 64,
         write_cap_lines: 64,
-        ..TMemConfig::default()
     }));
     let rt = Arc::new(RealRuntime::new());
     let counter = mem.alloc_direct(1).unwrap();
@@ -207,13 +206,7 @@ impl DataStructure for AllocHungry {
 fn allocation_churn_is_stable_under_tiny_pool() {
     // Pool barely fits the structures + a handful of nodes; recycling
     // must keep the engine alive indefinitely.
-    let mem = Arc::new(TMem::new(TMemConfig {
-        words: 512,
-        words_per_line_log2: 3,
-        read_cap_lines: 4096,
-        write_cap_lines: 512,
-        ..TMemConfig::default()
-    }));
+    let mem = Arc::new(TMem::new(TMemConfig::default().with_words(512)));
     let rt = Arc::new(RealRuntime::new());
     let head = mem.alloc_direct(1).unwrap();
     let ds = Arc::new(AllocHungry { head });

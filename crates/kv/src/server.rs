@@ -25,9 +25,9 @@
 //! queue sheds the request with a structured `BUSY` reply rather than
 //! buffering unboundedly. A monitor thread reuses
 //! [`hcf_sim::progress`]'s meter/tracker (the same stall semantics as
-//! the native driver) and declares the server stalled only when the
-//! backlog is non-empty yet no worker completes anything for
-//! [`KvConfig::watchdog_ms`].
+//! the native driver) and declares the server stalled only when some
+//! accepted request is still unanswered yet no worker completes
+//! anything for [`KvConfig::watchdog_ms`].
 
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -201,6 +201,8 @@ struct KvShard {
     engine: HcfEngine<KvShardDs>,
     arena: Arena,
     queue: BoundedQueue<Pending>,
+    /// Requests pushed onto `queue` (see [`ServerInner::unanswered`]).
+    accepted: AtomicU64,
     batches: AtomicU64,
     reqs: AtomicU64,
     ops: AtomicU64,
@@ -232,8 +234,9 @@ pub struct StallInfo {
     pub completed_reqs: u64,
     /// Per-worker completion counts at stall time.
     pub per_worker: Vec<u64>,
-    /// Requests queued across all shards at stall time.
-    pub backlog: usize,
+    /// Requests accepted but not yet answered, across all shards, at
+    /// stall time.
+    pub backlog: u64,
     /// Workers that had already exited.
     pub workers_done: usize,
     /// Worker-pool size.
@@ -295,6 +298,22 @@ impl ServerInner {
         }
     }
 
+    /// Requests accepted but not yet answered, across all shards. The
+    /// watchdog's backlog: counting these rather than queued requests
+    /// keeps a batch whose worker died mid-execution in view, so a dead
+    /// worker is a stall, not a hang. `reqs` can briefly run ahead of
+    /// `accepted` (a worker answers before `submit` bumps it), hence the
+    /// saturating difference.
+    fn unanswered(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| {
+                let reqs = s.reqs.load(Ordering::Relaxed);
+                s.accepted.load(Ordering::Relaxed).saturating_sub(reqs)
+            })
+            .sum()
+    }
+
     fn submit(&self, sidx: usize, ops: Vec<ShardOp>) -> Result<Arc<ReplySlot>, Reply> {
         let shard = &self.shards[sidx];
         let slot = Arc::new(ReplySlot::default());
@@ -303,6 +322,7 @@ impl ServerInner {
             slot: slot.clone(),
         }) {
             Ok(()) => {
+                shard.accepted.fetch_add(1, Ordering::Relaxed);
                 self.gates[sidx % self.workers].notify();
                 Ok(slot)
             }
@@ -493,6 +513,7 @@ impl KvServer {
                 engine,
                 arena: Arena::new(),
                 queue: BoundedQueue::new(cfg.queue_cap),
+                accepted: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 reqs: AtomicU64::new(0),
                 ops: AtomicU64::new(0),
@@ -786,11 +807,11 @@ fn monitor_loop(inner: &Arc<ServerInner>) {
     let deadline_ns = inner.cfg.watchdog_ms.saturating_mul(1_000_000);
     let mut tracker = StallTracker::new(deadline_ns, inner.clock.now());
     loop {
-        if inner.meter.all_done() {
+        if inner.meter.all_done() && inner.unanswered() == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(inner.cfg.poll_ms.max(1)));
-        let backlog: usize = inner.shards.iter().map(|s| s.queue.len()).sum();
+        let backlog = inner.unanswered();
         if backlog == 0 {
             // An idle server is waiting, not stalled.
             tracker.reset(inner.clock.now());

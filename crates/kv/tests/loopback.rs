@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use hcf_kv::store::{parse_inline_int, INLINE_TAG};
-use hcf_kv::{Command, KvClient, KvConfig, KvServer, Reply};
+use hcf_kv::{Command, KvClient, KvConfig, KvError, KvServer, Reply};
 use hcf_util::rng::{Rng, SplitMix64};
 
 /// What the sequential model expects INCR to do (mirrors the tagged
@@ -150,4 +150,39 @@ fn shutdown_drains_and_join_returns() {
         let mut c = KvClient::connect(addr).unwrap();
         c.get(b"k").is_err()
     });
+}
+
+#[test]
+fn a_dead_worker_is_a_stall_not_a_hang() {
+    // A shard memory this small runs out after a few thousand keys, and
+    // the worker panics inside the engine with the request it was
+    // serving unanswered. The watchdog must still see that request.
+    let mut cfg = KvConfig::default()
+        .with_shards(1)
+        .with_workers(1)
+        .with_watchdog_ms(300);
+    cfg.words_per_shard = 1 << 14;
+    let server = KvServer::start(cfg).expect("server start");
+    let addr = server.local_addr();
+
+    let (client_tx, client_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = KvClient::connect(addr).expect("connect");
+        let failed_at = (0u64..).find(|i| client.set(format!("k{i}").as_bytes(), b"1").is_err());
+        let _ = client_tx.send(failed_at.expect("unbounded range"));
+    });
+    let (join_tx, join_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = join_tx.send(server.join());
+    });
+
+    let timeout = std::time::Duration::from_secs(30);
+    match join_rx.recv_timeout(timeout) {
+        Ok(Err(KvError::Stalled(info))) => assert!(info.backlog > 0, "{info:?}"),
+        Ok(Ok(())) => panic!("join returned Ok after a worker died"),
+        Err(e) => panic!("join did not return: {e}"),
+    }
+    // The client saw an error, and only after the memory filled up.
+    let failed_at = client_rx.recv_timeout(timeout).expect("client still blocked");
+    assert!(failed_at > 0, "the very first SET failed");
 }

@@ -18,6 +18,7 @@
 //! See `docs/SANITIZER.md` for how the pieces fit together and how to run
 //! them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lint;

@@ -29,6 +29,7 @@
 //! [`RealRuntime`](hcf_tmem::RealRuntime), with a livelock watchdog,
 //! latency percentiles, and optional history recording for [`lincheck`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

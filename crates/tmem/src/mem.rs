@@ -30,7 +30,7 @@ use hcf_util::pad::CachePadded;
 
 use crate::addr::Addr;
 use crate::alloc::Allocator;
-use crate::config::{ClockMode, TMemConfig};
+use crate::config::TMemConfig;
 use crate::error::TxResult;
 use crate::orec::OrecValue;
 use crate::runtime::{AccessKind, Runtime};
@@ -52,7 +52,7 @@ pub struct TMem {
     words: Box<[AtomicU64]>,
     /// One ownership record per line, each owning a real cache line.
     orecs: Box<[CachePadded<AtomicU64>]>,
-    /// TL2 global version clock. Padded: under GV1 every writer commit
+    /// TL2 global version clock. Padded: every writer commit
     /// writes it, and nothing else may share its line.
     clock: CachePadded<AtomicU64>,
     /// Number of transactions currently between read-set validation and the
@@ -111,32 +111,6 @@ impl TMem {
     /// builds on (`Acquire` half).
     pub(crate) fn bump_clock(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The version a writer commit publishes with, per the configured
-    /// [`ClockMode`]. Must be called **while the write locks are held**:
-    /// GV5's safety argument (see [`ClockMode`]) relies on the sample
-    /// being taken after the lines are locked.
-    pub(crate) fn commit_version(&self) -> u64 {
-        match self.cfg.clock_mode {
-            ClockMode::Gv1 => self.bump_clock(),
-            // GV5: sample without advancing. No reader can have recorded
-            // version `clock + 1` (its snapshot rv ≤ clock), so
-            // publishing it — even twice, while the clock stands still —
-            // fails every validator that read the line earlier.
-            ClockMode::Gv5 => self.clock() + 1,
-        }
-    }
-
-    /// Records a conflict abort. Under GV5 this is the "bump on
-    /// validation failure" half of the protocol: advancing the clock
-    /// here guarantees the retry begins with a snapshot at least as new
-    /// as the version that failed validation, so a stale clock cannot
-    /// livelock readers against already-published lines.
-    pub(crate) fn note_conflict(&self) {
-        if self.cfg.clock_mode == ClockMode::Gv5 {
-            self.bump_clock();
-        }
     }
 
     #[inline]
@@ -218,16 +192,9 @@ impl TMem {
         // under the old version.
         self.word(addr).store(value, Ordering::Release);
         let wv = self.bump_clock();
-        // GV1 keeps the clock strictly ahead of every published version.
-        // GV5 lets commits publish `clock + 1`, so the bumped value here
-        // can *equal* the line's version; that is still invalidating
-        // (no in-flight reader can have recorded a version above its
-        // snapshot, which was ≤ the pre-bump clock) but only GV1 gets
-        // the strict inequality.
-        debug_assert!(match self.cfg.clock_mode {
-            ClockMode::Gv1 => wv > old.version(),
-            ClockMode::Gv5 => wv >= old.version(),
-        });
+        // Every published version was once the clock's value, so the
+        // bumped clock is strictly ahead of the line's old version.
+        debug_assert!(wv > old.version());
         // Release: publishes the word store above to readers whose
         // Acquire orec load observes the new version.
         self.orec(line).store(OrecValue::unlocked(wv).raw(), Ordering::Release);
@@ -520,36 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn gv1_commit_version_advances_clock() {
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv1),
-        );
-        let before = m.clock();
-        assert_eq!(m.commit_version(), before + 1);
-        assert_eq!(m.clock(), before + 1, "GV1 bumps on every commit");
-        m.note_conflict();
-        assert_eq!(m.clock(), before + 1, "GV1 never bumps on conflict");
-    }
-
-    #[test]
-    fn gv5_commit_version_samples_and_bumps_on_conflict() {
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
-        let before = m.clock();
-        assert_eq!(m.commit_version(), before + 1);
-        assert_eq!(m.commit_version(), before + 1, "repeat samples are stable");
-        assert_eq!(m.clock(), before, "sampling must not advance the clock");
-        m.note_conflict();
-        assert_eq!(m.clock(), before + 1, "validation failure advances it");
-        assert_eq!(m.commit_version(), before + 2);
-    }
-
-    #[test]
-    fn gv5_direct_write_still_invalidates_line() {
-        let (mut cfg, rt) = (TMemConfig::small_word_granular(), RealRuntime::new());
-        cfg.clock_mode = ClockMode::Gv5;
-        let m = TMem::new(cfg);
+    fn direct_write_invalidates_line() {
+        let (m, rt) = setup();
         let a = m.alloc_direct(1).unwrap();
         let before = OrecValue(m.orec(m.line_of(a)).load(Ordering::Relaxed));
         m.write_direct(&rt, a, 7);

@@ -85,15 +85,7 @@ impl<'m> Txn<'m> {
     }
 
     fn poison(&mut self, cause: AbortCause) -> AbortCause {
-        if self.poisoned.is_none() {
-            self.poisoned = Some(cause);
-            if cause == AbortCause::Conflict {
-                // GV5's bump-on-validation-failure hook (no-op in GV1):
-                // the failed read proves the snapshot is stale.
-                self.mem.note_conflict();
-            }
-        }
-        self.poisoned.unwrap()
+        *self.poisoned.get_or_insert(cause)
     }
 
     fn check_poison(&self) -> TxResult<()> {
@@ -356,11 +348,9 @@ impl<'m> Txn<'m> {
         // lock acquirer that bumps its lock word after our validation
         // passes will wait for us in `quiesce` (the SeqCst Dekker pair
         // lives inside `writeback_enter`/`quiesce`). The commit version
-        // is mode-dependent: GV1 advances the shared clock, GV5 samples
-        // it (legal only because the write locks are already held — see
-        // `ClockMode`).
+        // is the advanced global clock.
         mem.writeback_enter();
-        let wv = mem.commit_version();
+        let wv = mem.bump_clock();
 
         // Phase 3: validate the read set.
         let failed = {
@@ -441,8 +431,6 @@ impl<'m> Txn<'m> {
     fn abort_commit(&mut self, _exited_writeback: bool) -> AbortCause {
         self.rt.tx_event(TxEvent::Abort);
         self.mem.stats_ref().record_abort(AbortCause::Conflict);
-        // GV5 bump-on-validation-failure (no-op in GV1).
-        self.mem.note_conflict();
         #[cfg(feature = "txsan")]
         self.san_abort(AbortCause::Conflict);
         self.rollback_internal();
@@ -516,7 +504,7 @@ impl Drop for Txn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ClockMode, TMemConfig};
+    use crate::config::TMemConfig;
     use crate::runtime::RealRuntime;
 
     fn setup() -> (TMem, RealRuntime) {
@@ -639,13 +627,7 @@ mod tests {
 
     #[test]
     fn write_capacity_abort() {
-        let m = TMem::new(TMemConfig {
-            words: 1 << 12,
-            words_per_line_log2: 0,
-            read_cap_lines: 1 << 12,
-            write_cap_lines: 4,
-            ..TMemConfig::default()
-        });
+        let m = TMem::new(TMemConfig::small_word_granular().with_write_cap(4));
         let rt = RealRuntime::new();
         let a = m.alloc_direct(8).unwrap();
         let mut tx = m.begin(&rt);
@@ -657,13 +639,7 @@ mod tests {
 
     #[test]
     fn read_capacity_abort() {
-        let m = TMem::new(TMemConfig {
-            words: 1 << 12,
-            words_per_line_log2: 0,
-            read_cap_lines: 4,
-            write_cap_lines: 1 << 12,
-            ..TMemConfig::default()
-        });
+        let m = TMem::new(TMemConfig::small_word_granular().with_read_cap(4));
         let rt = RealRuntime::new();
         let a = m.alloc_direct(8).unwrap();
         let mut tx = m.begin(&rt);
@@ -784,9 +760,10 @@ mod tests {
         tx.commit().unwrap();
     }
 
-    fn counter_torture(mode: ClockMode) {
+    #[test]
+    fn concurrent_counter_increments_are_exact() {
         use std::sync::Arc;
-        let m = Arc::new(TMem::new(TMemConfig::default().with_clock_mode(mode)));
+        let m = Arc::new(TMem::new(TMemConfig::default()));
         let rt = Arc::new(RealRuntime::new());
         let a = m.alloc_direct(1).unwrap();
         let threads = 4;
@@ -824,50 +801,19 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_counter_increments_are_exact() {
-        counter_torture(ClockMode::Gv1);
-    }
-
-    #[test]
-    fn concurrent_counter_increments_are_exact_gv5() {
-        counter_torture(ClockMode::Gv5);
-    }
-
-    #[test]
-    fn gv5_uncontended_writer_commits_without_clock_bump() {
-        let rt = RealRuntime::new();
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
+    fn writer_commit_advances_clock_by_one() {
+        let (m, rt) = setup();
         let a = m.alloc_direct(1).unwrap();
-        let clock_before = m.clock();
+        let before = m.clock();
         let mut tx = m.begin(&rt);
         tx.write(a, 1).unwrap();
         tx.commit().unwrap();
-        assert_eq!(
-            m.clock(),
-            clock_before,
-            "GV5 writer commit must not touch the shared clock"
-        );
-        // The line's published version is the sampled clock + 1 …
-        assert_eq!(m.read_direct(&rt, a), 1);
-        // … and a fresh reader, whose snapshot is behind it, conflicts
-        // once, bumping the clock so its retry succeeds (progress).
-        let mut r = m.begin(&rt);
-        assert_eq!(r.read(a).unwrap_err(), AbortCause::Conflict);
-        let _ = r.rollback(AbortCause::Conflict);
-        assert_eq!(m.clock(), clock_before + 1, "bump on validation failure");
-        let mut r2 = m.begin(&rt);
-        assert_eq!(r2.read(a).unwrap(), 1);
-        r2.commit().unwrap();
+        assert_eq!(m.clock(), before + 1);
     }
 
     #[test]
-    fn gv5_write_write_conflict_detected() {
-        let rt = RealRuntime::new();
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
+    fn write_write_conflict_detected() {
+        let (m, rt) = setup();
         let a = m.alloc_direct(1).unwrap();
         let mut t1 = m.begin(&rt);
         assert_eq!(t1.read(a).unwrap(), 0);
@@ -875,8 +821,7 @@ mod tests {
         let mut t2 = m.begin(&rt);
         t2.write(a, 2).unwrap();
         t2.commit().unwrap();
-        // t1 read the line before t2 republished it; its commit must fail
-        // even though t2's version may equal the one t1 recorded + 0 bumps.
+        // t1 read the line before t2 republished it; its commit must fail.
         assert_eq!(t1.commit().unwrap_err(), AbortCause::Conflict);
         assert_eq!(m.read_direct(&rt, a), 2);
     }

@@ -10,8 +10,8 @@
 //!   figures are reproducible bit-for-bit from a seed.
 //! * [`dist`] — the Zipfian and uniform key samplers the paper's
 //!   workloads draw from.
-//! * [`sync`] — `parking_lot`-shaped shims ([`sync::Mutex`],
-//!   [`sync::Condvar`], [`sync::SpinMutex`]) over `std::sync`.
+//! * [`sync`] — `parking_lot`-shaped shims ([`sync::Mutex`] and
+//!   [`sync::Condvar`]) over `std::sync`.
 //! * [`pad`] — [`pad::CachePadded`], cache-line-pair alignment against
 //!   false sharing of contended atomics, and [`pad::Striped`], one padded
 //!   copy per writing thread for counters every thread bumps.
@@ -22,9 +22,10 @@
 //! * [`shard`] — SplitMix64-based byte-string hashing and shard
 //!   routing for the KV service.
 //!
-//! The crate deliberately has **zero dependencies** and denies missing
-//! docs on its public API.
+//! The crate deliberately has **zero dependencies**, forbids `unsafe`
+//! code and denies missing docs on its public API.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 

@@ -6,14 +6,8 @@
 //! the default build has zero external dependencies; lock poisoning is
 //! deliberately ignored (a panic while holding one of these locks
 //! already aborts the affected test or experiment).
-//!
-//! [`SpinMutex`] is provided for short critical sections on the
-//! simulator's hot paths where parking would dominate the cost being
-//! measured.
 
-use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::PoisonError;
 
 /// A mutual-exclusion lock over `std::sync::Mutex` whose `lock()`
@@ -126,73 +120,6 @@ impl Condvar {
     }
 }
 
-/// A test-and-test-and-set spinlock for critical sections of a few
-/// dozen cycles, where blocking a thread would distort the virtual-time
-/// measurements the simulator takes.
-#[derive(Debug, Default)]
-pub struct SpinMutex<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: the lock protocol guarantees exclusive access to `value`.
-unsafe impl<T: Send> Send for SpinMutex<T> {}
-unsafe impl<T: Send> Sync for SpinMutex<T> {}
-
-/// RAII guard for [`SpinMutex`]; the lock is released on drop.
-pub struct SpinGuard<'a, T> {
-    lock: &'a SpinMutex<T>,
-}
-
-impl<T> SpinMutex<T> {
-    /// Creates a spinlock around `value`.
-    pub const fn new(value: T) -> Self {
-        SpinMutex {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquires the lock, spinning until it is available.
-    pub fn lock(&self) -> SpinGuard<'_, T> {
-        loop {
-            if !self.locked.swap(true, Ordering::Acquire) {
-                return SpinGuard { lock: self };
-            }
-            while self.locked.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: holding the guard means we hold the lock.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: holding the guard means we hold the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,27 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn spin_mutex_counts_across_threads() {
-        let m = Arc::new(SpinMutex::new(0u64));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let m = m.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        *m.lock() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
     fn into_inner_returns_value() {
         let m = Mutex::new(7);
         assert_eq!(m.into_inner(), 7);
-        let s = SpinMutex::new(9);
-        assert_eq!(s.into_inner(), 9);
     }
 
     #[test]
