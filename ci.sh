@@ -25,7 +25,7 @@ echo "==> tmem hot-path bench (--smoke; see docs/DESIGN.md, TM hot path)"
 cargo run -q --release --offline -p hcf-bench --bin tmem_hot -- --smoke
 
 echo "==> kv service: loopback integration + lincheck tests, bench (--smoke)"
-cargo test -q --offline -p hcf-kv --test loopback --test lincheck_incr
+cargo test -q --offline -p hcf-kv --lib --test loopback --test lincheck_incr
 cargo run -q --release --offline -p hcf-bench --bin kvbench -- --smoke
 
 echo "==> lockstep fidelity: reduced figure2/figure5/extra_pq CSVs match data/lockstep_golden.sha256"

@@ -254,13 +254,7 @@ fn reqs_per_client(default: u64) -> u64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // workers < shards on purpose: a worker busy combining one shard's
-    // backlog lets its other shards queue up — that queueing is what
-    // makes avg_batch exceed 1.
-    let server_cfg = KvConfig::default()
-        .with_shards(8)
-        .with_workers(2)
-        .with_watchdog_ms(30_000);
+    let server_cfg = KvConfig::default().with_shards(8).with_watchdog_ms(30_000);
 
     let (points, reqs): (Vec<Point>, u64) = if smoke {
         (
@@ -329,8 +323,8 @@ fn main() {
     let _ = writeln!(json, "  \"reqs_per_client\": {reqs},");
     let _ = writeln!(
         json,
-        "  \"server\": {{\"shards\":{},\"workers\":{},\"queue_cap\":{},\"batch_max\":{}}},",
-        server_cfg.shards, server_cfg.workers, server_cfg.queue_cap, server_cfg.batch_max
+        "  \"server\": {{\"shards\":{},\"queue_cap\":{},\"batch_max\":{}}},",
+        server_cfg.shards, server_cfg.queue_cap, server_cfg.batch_max
     );
     let _ = writeln!(json, "  \"results\": [");
     for (i, m) in rows.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! `kvd` — the hcf-kv server daemon.
 //!
 //! ```text
-//! kvd [--addr HOST:PORT] [--shards N] [--workers N]
-//!     [--queue-cap N] [--batch-max N] [--watchdog-ms N]
+//! kvd [--addr HOST:PORT] [--shards N] [--queue-cap N]
+//!     [--batch-max N] [--watchdog-ms N]
 //! ```
 //!
 //! Prints the bound address (useful with `--addr 127.0.0.1:0`), then
@@ -14,8 +14,8 @@ use hcf_kv::{KvConfig, KvServer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kvd [--addr HOST:PORT] [--shards N] [--workers N] \
-         [--queue-cap N] [--batch-max N] [--watchdog-ms N]"
+        "usage: kvd [--addr HOST:PORT] [--shards N] [--queue-cap N] \
+         [--batch-max N] [--watchdog-ms N]"
     );
     std::process::exit(2);
 }
@@ -34,7 +34,6 @@ fn parse_args() -> KvConfig {
         match flag.as_str() {
             "--addr" => cfg.addr = value.clone(),
             "--shards" => cfg.shards = num(),
-            "--workers" => cfg.workers = num(),
             "--queue-cap" => cfg.queue_cap = num(),
             "--batch-max" => cfg.batch_max = num(),
             "--watchdog-ms" => cfg.watchdog_ms = num() as u64,

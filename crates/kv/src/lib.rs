@@ -8,17 +8,19 @@
 //! ([`hcf_util::shard`]).
 //!
 //! The front end is a dependency-free length-prefixed text protocol
-//! ([`proto`]) over plain TCP. Requests land in bounded per-shard
-//! queues ([`queue`]); a fixed worker pool drains them, and **a drained
-//! backlog becomes one combined engine operation** ([`store::KvShardDs`]
-//! runs the whole batch in a single transaction). Queue depth under
+//! ([`proto`]) over plain TCP. Each connection thread queues its
+//! request on the key's shard ([`queue`]) and then tries to claim the
+//! shard. The winner drains the queue on its own thread, and **a
+//! drained backlog becomes one combined engine operation**
+//! ([`store::KvShardDs`] runs the whole batch in a single transaction);
+//! a loser waits for the owner to fill its reply. Queue depth under
 //! load is therefore the service's combining degree, reported per shard
 //! by the `STATS` command.
 //!
 //! Overload is handled by shedding (`BUSY` replies when a shard queue
-//! is full), shutdown by drain (queued requests complete before workers
-//! exit), and liveness by a watchdog reusing the native driver's
-//! progress meter ([`hcf_sim::progress`]).
+//! is full), shutdown by drain (queued requests are still served by
+//! their shards' owners), and liveness by a watchdog reusing the native
+//! driver's progress meter ([`hcf_sim::progress`]).
 //!
 //! ```no_run
 //! use hcf_kv::{KvClient, KvConfig, KvServer};

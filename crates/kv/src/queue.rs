@@ -1,18 +1,25 @@
-//! Bounded per-shard request queues and the worker wakeup gate.
+//! Bounded per-shard request queues, the shard claim, and the wakeup
+//! gate.
 //!
 //! Each shard owns one [`BoundedQueue`]; connection threads are the
-//! producers, the shard's owning worker the (single) consumer. The
-//! bound is the service's backpressure: a full queue makes
-//! [`BoundedQueue::try_push`] fail immediately and the connection
+//! producers. The bound is the service's backpressure: a full queue
+//! makes [`BoundedQueue::try_push`] fail immediately and the connection
 //! replies `BUSY` (load shedding) instead of buffering without limit.
 //!
-//! A worker owns *several* queues, so it cannot block on any single
-//! queue's condition variable. Instead each worker has one [`Gate`] —
-//! an eventcount: producers `notify` the owning worker's gate after a
-//! successful push, and the worker `wait`s only after a sweep over all
-//! its queues found nothing. A notify that races ahead of the wait just
-//! leaves the flag set, so the wait returns immediately and the worker
-//! re-sweeps: wakeups can be spurious but never lost.
+//! The consumer is whichever producer *claims* the queue. A producer
+//! pushes its item first and then calls [`BoundedQueue::try_claim`];
+//! the claim succeeds only while no other thread holds it. The owner
+//! drains until it sees the queue empty and then
+//! [`BoundedQueue::release`]s the claim, which fails (the claim is
+//! kept) if an item arrived in between. The `owned` flag, the items and
+//! the release test share one mutex, so no item is ever stranded: a
+//! producer whose claim failed pushed *before* that attempt, and the
+//! owner that made it fail sees the item before it can release.
+//!
+//! A [`Gate`] is a one-waiter eventcount: `notify` sets a flag and
+//! wakes the waiter, `wait` blocks until the flag is set and clears it.
+//! A notify that races ahead of the wait just leaves the flag set, so
+//! wakeups can be spurious but never lost.
 
 use std::collections::VecDeque;
 
@@ -31,10 +38,12 @@ pub enum PushError<T> {
 struct QueueState<T> {
     buf: VecDeque<T>,
     closed: bool,
+    /// Some thread holds the consumer claim.
+    owned: bool,
 }
 
-/// A bounded MPSC queue. Producers never block; the consumer drains
-/// non-blockingly and parks on its [`Gate`].
+/// A bounded MPSC queue with a consumer claim. Producers never block;
+/// the claim's holder drains non-blockingly.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -53,6 +62,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 buf: VecDeque::with_capacity(cap),
                 closed: false,
+                owned: false,
             }),
             cap,
         }
@@ -87,6 +97,26 @@ impl<T> BoundedQueue<T> {
         !g.closed
     }
 
+    /// Takes the consumer claim if no thread holds it. Closing the
+    /// queue does not stop claims: items pushed before the close still
+    /// need a consumer.
+    pub fn try_claim(&self) -> bool {
+        let mut g = self.state.lock();
+        !std::mem::replace(&mut g.owned, true)
+    }
+
+    /// Gives the claim back if the queue is empty. Returns `false`, with
+    /// the claim still held, when items are queued: the caller must
+    /// drain them and try again.
+    pub fn release(&self) -> bool {
+        let mut g = self.state.lock();
+        let released = g.buf.is_empty();
+        if released {
+            g.owned = false;
+        }
+        released
+    }
+
     /// Items currently queued (the shard's backlog).
     pub fn len(&self) -> usize {
         self.state.lock().buf.len()
@@ -103,7 +133,7 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A per-worker eventcount: `notify` sets a flag and wakes the worker;
+/// A one-waiter eventcount: `notify` sets a flag and wakes the waiter;
 /// `wait` blocks until the flag is set, then clears it.
 #[derive(Debug, Default)]
 pub struct Gate {
@@ -136,6 +166,7 @@ impl Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     #[test]
@@ -175,6 +206,97 @@ mod tests {
         assert_eq!(out, vec![1], "pre-close items still drain");
         out.clear();
         assert!(!q.drain(8, &mut out) && out.is_empty(), "fully retired");
+    }
+
+    #[test]
+    fn claim_succeeds_only_while_free() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        assert!(q.try_claim(), "a free queue can be claimed");
+        assert!(!q.try_claim(), "a second claim fails while owned");
+        let mut out = Vec::new();
+        q.drain(8, &mut out);
+        assert!(q.release());
+        assert!(q.try_claim(), "a released queue can be claimed again");
+    }
+
+    #[test]
+    fn pushes_queue_while_owned() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        assert!(q.try_claim());
+        q.try_push(2).unwrap();
+        assert!(!q.try_claim(), "the pusher waits; the owner serves it");
+        let mut out = Vec::new();
+        q.drain(8, &mut out);
+        assert_eq!(out, vec![1, 2], "the owner drains every queued item");
+    }
+
+    #[test]
+    fn no_release_while_items_are_queued() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        assert!(q.try_claim());
+        let mut out = Vec::new();
+        q.drain(8, &mut out);
+        // An item pushed between the owner's drain and its release.
+        q.try_push(2).unwrap();
+        assert!(!q.release(), "release refused: the queue is not empty");
+        assert!(!q.try_claim(), "and the claim is still held");
+        out.clear();
+        q.drain(8, &mut out);
+        assert_eq!(out, vec![2]);
+        assert!(q.release());
+    }
+
+    #[test]
+    fn close_while_owned_still_drains() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        assert!(q.try_claim());
+        q.try_push(2).unwrap();
+        q.close();
+        assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
+        let mut out = Vec::new();
+        assert!(!q.drain(8, &mut out), "closed");
+        assert_eq!(out, vec![1, 2], "queued items still drain");
+        assert!(q.release());
+        assert!(q.try_claim(), "claims work after the close");
+    }
+
+    #[test]
+    fn claimed_consumers_serve_every_push() {
+        // Each producer pushes, then serves the queue if its claim
+        // succeeds, as the server's connection threads do; every item
+        // must be consumed exactly once with no dedicated consumer. The
+        // bound holds every item: a producer that loses the claim moves
+        // on without waiting.
+        let q = BoundedQueue::new(2000);
+        let served = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (q, served) = (&q, &served);
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for i in 0..500 {
+                        q.try_push(t * 1000 + i).unwrap();
+                        if !q.try_claim() {
+                            continue;
+                        }
+                        loop {
+                            out.clear();
+                            q.drain(64, &mut out);
+                            served.fetch_add(out.len() as u64, Ordering::Relaxed);
+                            if out.is_empty() && q.release() {
+                                break;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(served.into_inner(), 2000);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -1,33 +1,45 @@
-//! The sharded KV server: TCP front-end, per-shard queues, worker
-//! pool, watchdog, and graceful shutdown.
+//! The sharded KV server: TCP front-end, per-shard queues and claims,
+//! watchdog, and graceful shutdown.
 //!
 //! # Architecture
 //!
 //! ```text
-//! conn threads (1/connection)     worker pool (fixed)      storage
-//!   parse frame → Command    ┌→ [shard 0 queue] ─┐
-//!   route keys by shard hash ┼→ [shard 1 queue] ─┼→ worker drains its
-//!   try_push (bounded)       ┼→ [shard 2 queue] ─┤  shards; each drain
-//!   BUSY if full             └→ [shard 3 queue] ─┘  = ONE engine op
-//!   block on ReplySlot                               (batch = combined tx)
+//! conn threads (1/connection)
+//!   parse frame → Command
+//!   route keys by shard hash
+//!   try_push onto the shard queue (bounded; BUSY if full)
+//!   try_claim the shard ─┬─ won:  drain the queue, each drain = ONE
+//!                        │        engine op on this thread (batch =
+//!                        │        combined tx), fill every drained
+//!                        │        request's ReplySlot, release when empty
+//!                        └─ lost: wait on the ReplySlot; the owner fills it
 //! ```
 //!
 //! Every shard is an independent [`HcfEngine`] over its own
 //! transactional memory, publication arrays, and fallback lock —
 //! the paper's multiple-publication-array design pushed up to the
-//! service layer. A worker draining a shard turns the whole backlog
-//! into a single [`KvBatch`] executed as one engine operation, so the
-//! deeper the queue, the larger the combined transaction: *batching is
-//! combining*, and the per-shard `avg_batch` statistic is the service's
-//! combining degree.
+//! service layer. There is no worker pool: as in the paper (§2.1–2.2),
+//! a requester that finds its shard free applies its own request on its
+//! own thread, and only a requester that finds the shard owned leaves
+//! its request announced in the queue and waits. The owner turns the
+//! whole backlog into a single [`KvBatch`] executed as one engine
+//! operation, so the deeper the queue, the larger the combined
+//! transaction: *batching is combining*, and the per-shard `avg_batch`
+//! statistic is the service's combining degree. On the uncontended
+//! path a request never crosses threads.
+//!
+//! A requester holds at most one claim at a time and serves its shard
+//! until the queue is empty before it moves on, so an MGET that spans
+//! shards cannot deadlock. A waiter spins briefly and then parks on its
+//! reply's [`Gate`]; it never polls with yields or sleeps.
 //!
 //! Backpressure is the queue bound ([`KvConfig::queue_cap`]): a full
 //! queue sheds the request with a structured `BUSY` reply rather than
 //! buffering unboundedly. A monitor thread reuses
 //! [`hcf_sim::progress`]'s meter/tracker (the same stall semantics as
 //! the native driver) and declares the server stalled only when some
-//! accepted request is still unanswered yet no worker completes
-//! anything for [`KvConfig::watchdog_ms`].
+//! accepted request is still unanswered yet no shard completes anything
+//! for [`KvConfig::watchdog_ms`].
 
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -43,24 +55,28 @@ use hcf_tmem::runtime::Runtime;
 use hcf_tmem::{DirectCtx, RealRuntime, TMem, TMemConfig};
 use hcf_util::frame::{read_frame, write_frame_owned, FrameLimits};
 use hcf_util::shard::{shard_of, table_key};
-use hcf_util::sync::{Condvar, Mutex};
+use hcf_util::sync::Mutex;
 
 use crate::proto::{Command, Reply};
 use crate::queue::{BoundedQueue, Gate, PushError};
 use crate::store::{decode_value, encode_value, Arena, KvBatch, KvOp, KvRes, KvShardDs};
 
+/// How long a requester whose shard is owned spins on its reply before
+/// it parks. Most replies arrive within one engine batch (a few µs);
+/// parking earlier costs a futex wake per request, and on a host with
+/// fewer cores than threads that wake tends to leave a client and its
+/// connection thread sharing one core (EXPERIMENTS.md, "Claiming the
+/// shard"). Timed with the server's runtime clock.
+const SPIN_NS: u64 = 20_000;
+
 /// Server configuration. `Default` gives a loopback server on an
-/// ephemeral port with 8 shards and 2 workers (workers < shards is
-/// deliberate: while a worker transacts on one shard, its other shards
-/// accumulate backlog, which is exactly what makes batches combine).
+/// ephemeral port with 8 shards.
 #[derive(Clone, Debug)]
 pub struct KvConfig {
     /// Bind address, e.g. `"127.0.0.1:0"` for an ephemeral port.
     pub addr: String,
     /// Number of independent storage shards (engines).
     pub shards: usize,
-    /// Worker threads; clamped to `shards` (a shard has one owner).
-    pub workers: usize,
     /// Per-shard queue bound — the backpressure limit.
     pub queue_cap: usize,
     /// Most queued requests drained into one engine operation.
@@ -82,7 +98,6 @@ impl Default for KvConfig {
         KvConfig {
             addr: "127.0.0.1:0".into(),
             shards: 8,
-            workers: 2,
             queue_cap: 128,
             batch_max: 64,
             buckets_per_shard: 1024,
@@ -107,12 +122,6 @@ impl KvConfig {
         self
     }
 
-    /// Builder-style worker-count override.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Builder-style queue-bound override.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
@@ -134,7 +143,7 @@ impl KvConfig {
 
 /// One per-key operation as routed by a connection thread (keys already
 /// hashed; values still raw — encoding needs the target shard's arena,
-/// which only the owning worker touches for writes).
+/// which only the shard's owner touches).
 #[derive(Debug)]
 enum ShardOp {
     Get(u64),
@@ -143,8 +152,8 @@ enum ShardOp {
     Incr(u64),
 }
 
-/// Decoded per-operation outcome handed back to the connection thread.
-#[derive(Debug)]
+/// Decoded per-operation outcome handed back to the requester.
+#[derive(Debug, PartialEq, Eq)]
 enum OpOut {
     /// SET applied.
     Done,
@@ -158,33 +167,47 @@ enum OpOut {
     NotInt,
 }
 
-/// One-shot rendezvous between a connection thread and a worker.
+/// One-shot rendezvous between a requester and the shard's owner (who
+/// may be the requester itself).
 #[derive(Debug, Default)]
 struct ReplySlot {
-    state: Mutex<Option<Vec<OpOut>>>,
-    cv: Condvar,
+    outs: Mutex<Option<Vec<OpOut>>>,
+    filled: AtomicBool,
+    gate: Gate,
 }
 
 impl ReplySlot {
     fn fill(&self, outs: Vec<OpOut>) {
-        *self.state.lock() = Some(outs);
-        self.cv.notify_all();
+        *self.outs.lock() = Some(outs);
+        // Release pairs with the Acquire loads in `wait`: a waiter that
+        // sees the flag finds the outcomes in `outs`.
+        self.filled.store(true, Ordering::Release);
+        self.gate.notify();
     }
 
-    /// Blocks until a worker fills the slot. Unbounded by design: every
-    /// queued request is guaranteed a fill on the normal and drain
+    /// Waits until the owner fills the slot: spins for [`SPIN_NS`] on
+    /// `clock`, then parks on the gate. Unbounded by design: every
+    /// queued request is guaranteed a fill on the normal and shutdown
     /// paths; only a watchdog-declared stall abandons waiters (and a
     /// stall is fatal diagnostics, like [`NativeError::Stalled`]).
     ///
     /// [`NativeError::Stalled`]: hcf_sim::native::NativeError
-    fn wait(&self) -> Vec<OpOut> {
-        let mut g = self.state.lock();
-        loop {
-            if let Some(v) = g.take() {
-                return v;
+    fn wait(&self, clock: &RealRuntime) -> Vec<OpOut> {
+        if !self.filled.load(Ordering::Acquire) {
+            let deadline = clock.now() + SPIN_NS;
+            while !self.filled.load(Ordering::Acquire) && clock.now() < deadline {
+                std::hint::spin_loop();
             }
-            self.cv.wait(&mut g);
+            // `fill` sets the flag before it notifies, so a notify that
+            // lands between this check and the wait is not lost.
+            while !self.filled.load(Ordering::Acquire) {
+                self.gate.wait();
+            }
         }
+        self.outs
+            .lock()
+            .take()
+            .expect("a filled slot holds its outcomes")
     }
 }
 
@@ -199,6 +222,8 @@ struct Pending {
 /// One storage shard: engine + arena + queue + counters.
 struct KvShard {
     engine: HcfEngine<KvShardDs>,
+    /// The engine's runtime; the claim holder registers on it.
+    rt: Arc<RealRuntime>,
     arena: Arena,
     queue: BoundedQueue<Pending>,
     /// Requests pushed onto `queue` (see [`ServerInner::unanswered`]).
@@ -210,9 +235,54 @@ struct KvShard {
     busy_rejects: AtomicU64,
 }
 
+impl KvShard {
+    /// Builds one shard's table and engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured transactional memory cannot hold the
+    /// table and the engine (a static misconfiguration).
+    fn new(cfg: &KvConfig) -> KvShard {
+        let mem = Arc::new(TMem::new(
+            TMemConfig::default().with_words(cfg.words_per_shard),
+        ));
+        // Setup uses its own throwaway runtime so the constructing
+        // thread never takes a dense id on the shard's runtime.
+        let setup_rt = RealRuntime::new();
+        let table = {
+            let mut ctx = DirectCtx::new(&mem, &setup_rt);
+            HashTable::create(&mut ctx, cfg.buckets_per_shard)
+                .expect("shard table allocation failed")
+        };
+        let rt = Arc::new(RealRuntime::new());
+        let engine = HcfEngine::new(
+            Arc::new(KvShardDs::new(table)),
+            mem,
+            rt.clone(),
+            // Only the claim holder executes on this engine, always as
+            // id 0 (see `ServerInner::serve`); 2 leaves margin without
+            // inflating the publication array.
+            HcfConfig::new(2).named("HCF-KV"),
+        )
+        .expect("shard engine allocation failed");
+        KvShard {
+            engine,
+            rt,
+            arena: Arena::new(),
+            queue: BoundedQueue::new(cfg.queue_cap),
+            accepted: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            reqs: AtomicU64::new(0),
+            ops: AtomicU64::new(0),
+            max_batch: AtomicU64::new(0),
+            busy_rejects: AtomicU64::new(0),
+        }
+    }
+}
+
 /// Point-in-time batching counters for one shard. The interesting
 /// number is `reqs / batches`: the average number of queued requests a
-/// worker combined into one engine transaction.
+/// shard's owner combined into one engine transaction.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardBatchStats {
     /// Engine operations executed (one per drained batch).
@@ -232,15 +302,11 @@ pub struct ShardBatchStats {
 pub struct StallInfo {
     /// Requests completed before the stall.
     pub completed_reqs: u64,
-    /// Per-worker completion counts at stall time.
-    pub per_worker: Vec<u64>,
+    /// Per-shard completion counts at stall time.
+    pub per_shard: Vec<u64>,
     /// Requests accepted but not yet answered, across all shards, at
     /// stall time.
     pub backlog: u64,
-    /// Workers that had already exited.
-    pub workers_done: usize,
-    /// Worker-pool size.
-    pub workers: usize,
     /// How long nothing completed, in milliseconds.
     pub stalled_for_ms: u64,
 }
@@ -249,9 +315,10 @@ pub struct StallInfo {
 #[derive(Clone, Debug)]
 pub enum KvError {
     /// The watchdog saw a non-empty backlog make no progress for the
-    /// deadline. Stuck workers (and connection threads blocked on their
-    /// replies) cannot be cancelled and are left detached — treat this
-    /// as fatal diagnostics, not a recoverable condition.
+    /// deadline. Stuck connection threads (a shard's owner, and the
+    /// requesters waiting on it) cannot be cancelled and are left
+    /// detached — treat this as fatal diagnostics, not a recoverable
+    /// condition.
     Stalled(StallInfo),
 }
 
@@ -260,10 +327,8 @@ impl std::fmt::Display for KvError {
         match self {
             KvError::Stalled(s) => write!(
                 f,
-                "kv: no progress for {} ms with backlog {} ({} reqs completed, \
-                 {}/{} workers done, per-worker {:?})",
-                s.stalled_for_ms, s.backlog, s.completed_reqs, s.workers_done, s.workers,
-                s.per_worker
+                "kv: no progress for {} ms with backlog {} ({} reqs completed, per-shard {:?})",
+                s.stalled_for_ms, s.backlog, s.completed_reqs, s.per_shard
             ),
         }
     }
@@ -274,14 +339,14 @@ impl std::error::Error for KvError {}
 struct ServerInner {
     cfg: KvConfig,
     shards: Vec<KvShard>,
-    gates: Vec<Gate>,
+    /// Requests answered per shard (the watchdog's progress).
     meter: ProgressMeter,
-    workers: usize,
     stop: AtomicBool,
     stall: Mutex<Option<StallInfo>>,
     conns: Mutex<Vec<TcpStream>>,
-    /// Monotonic clock for the monitor (library code takes time through
-    /// the runtime, never from the wall clock directly).
+    /// Monotonic clock for the monitor and for reply spinning (library
+    /// code takes time through the runtime, never from the wall clock
+    /// directly).
     clock: RealRuntime,
 }
 
@@ -293,17 +358,14 @@ impl ServerInner {
         for shard in &self.shards {
             shard.queue.close();
         }
-        for gate in &self.gates {
-            gate.notify();
-        }
     }
 
     /// Requests accepted but not yet answered, across all shards. The
     /// watchdog's backlog: counting these rather than queued requests
-    /// keeps a batch whose worker died mid-execution in view, so a dead
-    /// worker is a stall, not a hang. `reqs` can briefly run ahead of
-    /// `accepted` (a worker answers before `submit` bumps it), hence the
-    /// saturating difference.
+    /// keeps a batch whose owner died mid-execution in view, so a dead
+    /// owner is a stall, not a hang. `reqs` can briefly run ahead of
+    /// `accepted` (an owner answers before `submit` bumps it), hence
+    /// the saturating difference.
     fn unanswered(&self) -> u64 {
         self.shards
             .iter()
@@ -314,6 +376,9 @@ impl ServerInner {
             .sum()
     }
 
+    /// Queues `ops` on shard `sidx`, then serves the shard if this
+    /// thread wins its claim. Either way the returned slot is filled by
+    /// the time this thread or the current owner has drained the queue.
     fn submit(&self, sidx: usize, ops: Vec<ShardOp>) -> Result<Arc<ReplySlot>, Reply> {
         let shard = &self.shards[sidx];
         let slot = Arc::new(ReplySlot::default());
@@ -323,7 +388,9 @@ impl ServerInner {
         }) {
             Ok(()) => {
                 shard.accepted.fetch_add(1, Ordering::Relaxed);
-                self.gates[sidx % self.workers].notify();
+                if shard.queue.try_claim() {
+                    self.serve(sidx);
+                }
                 Ok(slot)
             }
             Err(PushError::Full(_)) => {
@@ -331,6 +398,37 @@ impl ServerInner {
                 Err(Reply::Busy)
             }
             Err(PushError::Closed(_)) => Err(Reply::Err("server is shutting down".into())),
+        }
+    }
+
+    /// Runs shard `sidx` for the claim just won: drains its queue one
+    /// engine operation per drain until a release succeeds.
+    ///
+    /// The engine checks `tid < max_threads`, and any connection thread
+    /// may own a shard, so the owner registers on the shard's runtime
+    /// for the engine calls and gives the id back *before* it releases
+    /// the claim: at most one registration exists per shard, so the id
+    /// is always 0. A panic inside the engine unwinds without releasing
+    /// the claim, deliberately — the engine lock may still be held, so
+    /// the shard stays owned and the watchdog reports the stall.
+    fn serve(&self, sidx: usize) {
+        let shard = &self.shards[sidx];
+        let mut batch: Vec<Pending> = Vec::new();
+        loop {
+            let engine_id = shard.rt.register();
+            loop {
+                shard.queue.drain(self.cfg.batch_max, &mut batch);
+                if batch.is_empty() {
+                    break;
+                }
+                let n = batch.len() as u64;
+                process_batch(shard, &mut batch);
+                self.meter.record(sidx, n);
+            }
+            drop(engine_id);
+            if shard.queue.release() {
+                return;
+            }
         }
     }
 
@@ -352,7 +450,7 @@ impl ServerInner {
         match self.submit(sidx, vec![op(table_key(key))]) {
             Err(reply) => reply,
             Ok(slot) => {
-                let mut outs = slot.wait();
+                let mut outs = slot.wait(&self.clock);
                 debug_assert_eq!(outs.len(), 1);
                 match outs.pop() {
                     Some(OpOut::Done) => Reply::Ok,
@@ -392,7 +490,7 @@ impl ServerInner {
         }
         let mut vals: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         for (pos, slot) in waits {
-            for (p, out) in pos.into_iter().zip(slot.wait()) {
+            for (p, out) in pos.into_iter().zip(slot.wait(&self.clock)) {
                 if let OpOut::Bytes(b) = out {
                     vals[p] = Some(b);
                 }
@@ -435,11 +533,10 @@ impl ServerInner {
         }
         format!(
             concat!(
-                "{{\"shards\":{},\"workers\":{},\"queue_cap\":{},\"batch_max\":{},",
+                "{{\"shards\":{},\"queue_cap\":{},\"batch_max\":{},",
                 "\"total_reqs\":{},\"stalled\":{},\"per_shard\":[{}]}}"
             ),
             self.shards.len(),
-            self.workers,
             self.cfg.queue_cap,
             self.cfg.batch_max,
             self.meter.total(),
@@ -456,7 +553,6 @@ pub struct KvServer {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -466,14 +562,13 @@ impl std::fmt::Debug for KvServer {
         f.debug_struct("KvServer")
             .field("addr", &self.addr)
             .field("shards", &self.inner.shards.len())
-            .field("workers", &self.inner.workers)
             .finish()
     }
 }
 
 impl KvServer {
-    /// Builds the shards, binds the listener, and spawns the worker
-    /// pool, acceptor, and monitor.
+    /// Builds the shards, binds the listener, and spawns the acceptor
+    /// and the monitor.
     ///
     /// # Errors
     ///
@@ -484,66 +579,21 @@ impl KvServer {
     /// Panics if shard construction exhausts the configured
     /// transactional memory (a static misconfiguration).
     pub fn start(cfg: KvConfig) -> io::Result<KvServer> {
-        let workers = cfg.workers.clamp(1, cfg.shards.max(1));
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards.max(1) {
-            let mem = Arc::new(TMem::new(
-                TMemConfig::default().with_words(cfg.words_per_shard),
-            ));
-            // Setup uses its own throwaway runtime so the constructing
-            // thread never consumes a dense id on the shard's runtime:
-            // the owning worker must stay below the engine's max_threads.
-            let setup_rt = RealRuntime::new();
-            let table = {
-                let mut ctx = DirectCtx::new(&mem, &setup_rt);
-                HashTable::create(&mut ctx, cfg.buckets_per_shard)
-                    .expect("shard table allocation failed")
-            };
-            let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
-            let engine = HcfEngine::new(
-                Arc::new(KvShardDs::new(table)),
-                mem,
-                rt,
-                // Only the owning worker executes on this engine; 2
-                // leaves margin without inflating the publication array.
-                HcfConfig::new(2).named("HCF-KV"),
-            )
-            .expect("shard engine allocation failed");
-            shards.push(KvShard {
-                engine,
-                arena: Arena::new(),
-                queue: BoundedQueue::new(cfg.queue_cap),
-                accepted: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                reqs: AtomicU64::new(0),
-                ops: AtomicU64::new(0),
-                max_batch: AtomicU64::new(0),
-                busy_rejects: AtomicU64::new(0),
-            });
-        }
+        let shards: Vec<KvShard> = (0..cfg.shards.max(1)).map(|_| KvShard::new(&cfg)).collect();
 
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
         let inner = Arc::new(ServerInner {
+            meter: ProgressMeter::new(shards.len()),
             shards,
-            gates: (0..workers).map(|_| Gate::new()).collect(),
-            meter: ProgressMeter::new(workers),
-            workers,
             stop: AtomicBool::new(false),
             stall: Mutex::new(None),
             conns: Mutex::new(Vec::new()),
             clock: RealRuntime::new(),
             cfg,
         });
-
-        let worker_handles = (0..workers)
-            .map(|wid| {
-                let inner = inner.clone();
-                std::thread::spawn(move || worker_loop(&inner, wid))
-            })
-            .collect();
 
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -561,7 +611,6 @@ impl KvServer {
             inner,
             addr,
             acceptor: Some(acceptor),
-            worker_handles,
             monitor: Some(monitor),
             conn_handles,
         })
@@ -594,9 +643,9 @@ impl KvServer {
             .collect()
     }
 
-    /// Initiates shutdown: stops accepting, closes every shard queue
-    /// (queued requests still drain), and wakes the workers. Idempotent;
-    /// also triggered by a client `SHUTDOWN` command.
+    /// Initiates shutdown: stops accepting and closes every shard queue
+    /// (queued requests are still served by their shards' owners).
+    /// Idempotent; also triggered by a client `SHUTDOWN` command.
     pub fn begin_shutdown(&self) {
         self.inner.begin_shutdown();
     }
@@ -606,11 +655,12 @@ impl KvServer {
     /// # Errors
     ///
     /// [`KvError::Stalled`] if the watchdog declared a stall; the stuck
-    /// worker and connection threads are left detached.
+    /// connection threads are left detached.
     ///
     /// # Panics
     ///
-    /// Panics if a worker or service thread panicked.
+    /// Panics if a service or connection thread panicked without a
+    /// stall being declared.
     pub fn join(mut self) -> Result<(), KvError> {
         while !self.inner.stop.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(2));
@@ -618,24 +668,20 @@ impl KvServer {
         if let Some(h) = self.acceptor.take() {
             h.join().expect("kv acceptor panicked");
         }
-        // After the acceptor exits the connection registry is final.
-        let stall = self.inner.stall.lock().clone();
-        if let Some(info) = stall {
-            // Unblock readers; stuck workers/waiters stay detached.
-            for s in self.inner.conns.lock().iter() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            return Err(KvError::Stalled(info));
-        }
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("kv worker panicked");
-        }
+        // The monitor returns once every accepted request is answered,
+        // or after it declared a stall.
         if let Some(h) = self.monitor.take() {
             h.join().expect("kv monitor panicked");
         }
-        // Workers are drained; kick idle connections off their reads.
+        // After the acceptor exits the connection registry is final;
+        // kicking every connection off its read ends its thread.
         for s in self.inner.conns.lock().iter() {
             let _ = s.shutdown(Shutdown::Both);
+        }
+        let stall = self.inner.stall.lock().clone();
+        if let Some(info) = stall {
+            // Stuck owners and their waiters stay detached.
+            return Err(KvError::Stalled(info));
         }
         let handles: Vec<_> = self.conn_handles.lock().drain(..).collect();
         for h in handles {
@@ -645,45 +691,8 @@ impl KvServer {
     }
 }
 
-fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
-    struct DoneGuard<'a>(&'a ProgressMeter);
-    impl Drop for DoneGuard<'_> {
-        fn drop(&mut self) {
-            self.0.mark_done();
-        }
-    }
-    let _done = DoneGuard(&inner.meter);
-    let my_shards: Vec<usize> = (0..inner.shards.len())
-        .filter(|s| s % inner.workers == wid)
-        .collect();
-    let mut batch: Vec<Pending> = Vec::with_capacity(inner.cfg.batch_max);
-    loop {
-        let mut drained = 0usize;
-        let mut all_closed = true;
-        for &s in &my_shards {
-            let shard = &inner.shards[s];
-            batch.clear();
-            if shard.queue.drain(inner.cfg.batch_max, &mut batch) {
-                all_closed = false;
-            }
-            if !batch.is_empty() {
-                drained += batch.len();
-                let n = batch.len() as u64;
-                process_batch(shard, &mut batch);
-                inner.meter.record(wid, n);
-            }
-        }
-        if drained == 0 {
-            if all_closed {
-                break;
-            }
-            inner.gates[wid].wait();
-        }
-    }
-}
-
 /// Applies one drained batch as a single engine operation and fills
-/// every request's reply slot.
+/// every request's reply slot. Only the shard's claim holder calls it.
 fn process_batch(shard: &KvShard, batch: &mut Vec<Pending>) {
     // Lower to engine ops. Arena writes happen here, outside the
     // transaction, exactly once per request (speculative retries must
@@ -708,6 +717,9 @@ fn process_batch(shard: &KvShard, batch: &mut Vec<Pending>) {
     shard.ops.fetch_add(n_ops, Ordering::Relaxed);
     shard.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
 
+    // Results are resolved in operation order: a GET decodes its handle
+    // before a later SET or DEL of the batch retires it, and the arena
+    // reuses a retired handle only for a later batch's push.
     let mut idx = 0usize;
     for p in batch.drain(..) {
         let mut outs = Vec::with_capacity(p.ops.len());
@@ -807,7 +819,7 @@ fn monitor_loop(inner: &Arc<ServerInner>) {
     let deadline_ns = inner.cfg.watchdog_ms.saturating_mul(1_000_000);
     let mut tracker = StallTracker::new(deadline_ns, inner.clock.now());
     loop {
-        if inner.meter.all_done() && inner.unanswered() == 0 {
+        if inner.stop.load(Ordering::Acquire) && inner.unanswered() == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(inner.cfg.poll_ms.max(1)));
@@ -821,14 +833,64 @@ fn monitor_loop(inner: &Arc<ServerInner>) {
         {
             *inner.stall.lock() = Some(StallInfo {
                 completed_reqs: inner.meter.total(),
-                per_worker: inner.meter.per_worker(),
+                per_shard: inner.meter.per_worker(),
                 backlog,
-                workers_done: inner.meter.done(),
-                workers: inner.workers,
                 stalled_for_ms: idle_ns / 1_000_000,
             });
             inner.begin_shutdown();
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Serves `ops` as one request, and so as one engine batch, the way
+    /// a claim holder does.
+    fn run(shard: &KvShard, ops: Vec<ShardOp>) -> Vec<OpOut> {
+        let slot = Arc::new(ReplySlot::default());
+        let mut batch = vec![Pending {
+            ops,
+            slot: slot.clone(),
+        }];
+        let _engine_id = shard.rt.register();
+        process_batch(shard, &mut batch);
+        slot.wait(&RealRuntime::new())
+    }
+
+    #[test]
+    fn a_batch_resolves_handles_in_op_order_across_reuse() {
+        let shard = KvShard::new(&KvConfig::default());
+        let k = 7;
+        assert_eq!(
+            run(&shard, vec![ShardOp::Set(k, b"old".to_vec())]),
+            [OpOut::Done]
+        );
+        // The first batch's SET gets a fresh handle; the second one's
+        // reuses the handle the first batch retired. Either way the
+        // first GET sees the value before the SET, the second the new one.
+        for (old, new) in [(&b"old"[..], &b"new"[..]), (b"new", b"newer")] {
+            let outs = run(
+                &shard,
+                vec![
+                    ShardOp::Get(k),
+                    ShardOp::Set(k, new.to_vec()),
+                    ShardOp::Get(k),
+                ],
+            );
+            assert_eq!(
+                outs,
+                [
+                    OpOut::Bytes(old.to_vec()),
+                    OpOut::Done,
+                    OpOut::Bytes(new.to_vec())
+                ]
+            );
+        }
+        let a = shard.arena.stats();
+        assert_eq!((a.slots, a.retired_slots), (2, 2), "{a:?}");
+        assert_eq!(a.live_bytes, b"newer".len() as u64);
     }
 }

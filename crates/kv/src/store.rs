@@ -22,12 +22,15 @@
 //!
 //! [`KvShardDs`]'s operation type is a whole *batch* of per-key
 //! operations ([`KvBatch`]), applied by `run_seq` in one transaction.
-//! A worker draining its shard's queue therefore combines every queued
-//! request into a single engine operation — the service-level analogue
-//! of the paper's combiner applying announced operations in one
-//! transaction. If several workers' batches ever pile up on one engine,
-//! the engine's own `run_multi` default replays multiple batches in one
-//! transaction, stacking the two combining layers.
+//! The connection thread that holds a shard's claim drains the shard's
+//! queue — its own request and whatever other connections announced
+//! meanwhile — into a single engine operation: the service-level
+//! analogue of the paper's combiner applying announced operations in
+//! one transaction. Only the claim holder executes on a shard's engine,
+//! so the engine's own combining (`run_multi`) does not engage; if
+//! several batches ever did pile up on one engine, its default
+//! `run_multi` would replay them in one transaction, stacking the two
+//! combining layers.
 
 use std::sync::Arc;
 
@@ -61,32 +64,36 @@ pub fn parse_inline_int(bytes: &[u8]) -> Option<u64> {
 /// Statistics of one shard's [`Arena`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Slots ever allocated (the arena never reuses them).
+    /// Slots in the arena's table, holding a value or free for reuse.
     pub slots: u64,
-    /// Slots whose table reference was overwritten or deleted.
+    /// Retirements so far (overwritten or deleted values).
     pub retired_slots: u64,
     /// Bytes still reachable from the table.
     pub live_bytes: u64,
-    /// Bytes held by retired slots (leaked by design; see [`Arena`]).
+    /// Bytes of retired values so far; they are freed at retirement.
     pub dead_bytes: u64,
 }
 
 #[derive(Debug, Default)]
 struct ArenaInner {
-    slots: Vec<Arc<[u8]>>,
+    /// `None` marks a free slot, whose handle is on `free`.
+    slots: Vec<Option<Arc<[u8]>>>,
+    free: Vec<u64>,
     retired: u64,
     live_bytes: u64,
     dead_bytes: u64,
 }
 
-/// Append-only byte-string store for one shard's non-integer values.
+/// Byte-string store for one shard's non-integer values.
 ///
-/// Handles are never reused: overwriting or deleting a value *retires*
-/// its slot (for accounting) but keeps the bytes, so a reader that
-/// decoded a handle from a committed transaction can always resolve it
-/// — there is no window where a handle points at someone else's value.
-/// The cost is that churned values accumulate until the server exits;
-/// [`Arena::stats`] reports `dead_bytes` so operators can see it.
+/// Overwriting or deleting a value *retires* its handle: the bytes are
+/// dropped and the handle goes on a free list that later pushes reuse.
+/// That is safe because a handle is only ever used by the thread that
+/// holds the shard's claim (see [`crate::server`]), and that thread
+/// resolves a batch's results in operation order: a GET's handle is
+/// decoded before any later operation of the same batch can retire it,
+/// and pushes for the next batch happen only after the whole batch was
+/// resolved.
 #[derive(Debug, Default)]
 pub struct Arena {
     inner: Mutex<ArenaInner>,
@@ -98,29 +105,41 @@ impl Arena {
         Arena::default()
     }
 
-    /// Stores `bytes`, returning its handle (always < 2⁶³).
+    /// Stores `bytes`, returning its handle (always < 2⁶³). Handles
+    /// retired earlier are reused first.
     pub fn push(&self, bytes: &[u8]) -> u64 {
         let mut g = self.inner.lock();
-        g.slots.push(Arc::from(bytes));
         g.live_bytes += bytes.len() as u64;
-        (g.slots.len() - 1) as u64
+        let value = Some(Arc::from(bytes));
+        match g.free.pop() {
+            Some(h) => {
+                g.slots[h as usize] = value;
+                h
+            }
+            None => {
+                g.slots.push(value);
+                (g.slots.len() - 1) as u64
+            }
+        }
     }
 
-    /// Resolves a handle. `None` only for handles never issued.
+    /// Resolves a handle. `None` for handles never issued or retired.
     pub fn get(&self, handle: u64) -> Option<Arc<[u8]>> {
-        self.inner.lock().slots.get(handle as usize).cloned()
+        self.inner.lock().slots.get(handle as usize)?.clone()
     }
 
-    /// Marks a handle's slot as unreachable from the table. Call once,
+    /// Frees a handle's bytes and makes the handle reusable. Call once,
     /// when the word holding the handle is overwritten or deleted.
     pub fn retire(&self, handle: u64) {
         let mut g = self.inner.lock();
-        if let Some(v) = g.slots.get(handle as usize) {
-            let len = v.len() as u64;
-            g.retired += 1;
-            g.live_bytes = g.live_bytes.saturating_sub(len);
-            g.dead_bytes += len;
-        }
+        let Some(v) = g.slots.get_mut(handle as usize).and_then(Option::take) else {
+            return;
+        };
+        let len = v.len() as u64;
+        g.free.push(handle);
+        g.retired += 1;
+        g.live_bytes = g.live_bytes.saturating_sub(len);
+        g.dead_bytes += len;
     }
 
     /// Point-in-time accounting snapshot.
@@ -306,8 +325,12 @@ mod tests {
         assert_eq!(s.live_bytes, 2);
         assert_eq!(s.dead_bytes, 4);
         assert_eq!(s.retired_slots, 1);
-        // Retired slots still resolve: committed readers never dangle.
-        assert_eq!(&*arena.get(h1).unwrap(), b"abcd");
+        // Retirement frees the bytes, and the next push reuses the handle.
+        assert!(arena.get(h1).is_none());
+        assert_eq!(arena.push(b"zzz"), h1);
+        assert_eq!(&*arena.get(h1).unwrap(), b"zzz");
+        assert_eq!(arena.stats().slots, 2);
+        assert_eq!(arena.stats().live_bytes, 5);
     }
 
     fn shard() -> (Arc<TMem>, RealRuntime, KvShardDs) {

@@ -31,13 +31,8 @@ fn concurrent_incrs_on_one_key_linearize() {
 
     // One shard concentrates every client on a single engine, the
     // worst case for the combined INCR read-modify-write.
-    let server = KvServer::start(
-        KvConfig::default()
-            .with_shards(1)
-            .with_workers(1)
-            .with_watchdog_ms(10_000),
-    )
-    .expect("server start");
+    let server = KvServer::start(KvConfig::default().with_shards(1).with_watchdog_ms(10_000))
+        .expect("server start");
     let addr = server.local_addr();
     let clock = Arc::new(RealRuntime::new());
 

@@ -93,13 +93,8 @@ fn client_traffic(addr: std::net::SocketAddr, tid: u64) {
 
 #[test]
 fn concurrent_clients_match_sequential_models() {
-    let server = KvServer::start(
-        KvConfig::default()
-            .with_shards(8)
-            .with_workers(3)
-            .with_watchdog_ms(10_000),
-    )
-    .expect("server start");
+    let server = KvServer::start(KvConfig::default().with_shards(8).with_watchdog_ms(10_000))
+        .expect("server start");
     let addr = server.local_addr();
 
     // ≥ 4 concurrent clients over ≥ 4 shards (8 here); disjoint key
@@ -135,10 +130,82 @@ fn concurrent_clients_match_sequential_models() {
     server.join().expect("clean join");
 }
 
+/// One connection's life on a single shard, `ROUNDS` times over: each
+/// round reconnects, INCRs the shared counter and SETs/GETs the
+/// connection's own keys. Returns how many INCRs it sent.
+fn churning_connection(addr: std::net::SocketAddr, tid: u64) -> u64 {
+    const ROUNDS: u64 = 5;
+    const STEPS: u64 = 80;
+    let mut rng = SplitMix64::new(0xC4A2 ^ tid);
+    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let (mut incrs, mut last_seen) = (0u64, 0u64);
+    for round in 0..ROUNDS {
+        let mut client = KvClient::connect(addr).expect("connect");
+        for step in 0..STEPS {
+            let k = format!("c{tid}:k{}", rng.next_u64() % 8).into_bytes();
+            match rng.next_u64() % 3 {
+                0 => {
+                    let n = client.incr(b"shared").expect("INCR");
+                    assert!(n > last_seen, "INCR went back: {n} after {last_seen}");
+                    (incrs, last_seen) = (incrs + 1, n);
+                }
+                1 => {
+                    let v = format!("r{round}s{step}").into_bytes();
+                    client.set(&k, &v).expect("SET");
+                    model.insert(k, v);
+                }
+                _ => assert_eq!(
+                    client.get(&k).expect("GET"),
+                    model.get(&k).cloned(),
+                    "GET {k:?} diverged in round {round} at step {step}"
+                ),
+            }
+        }
+    }
+    incrs
+}
+
+#[test]
+fn churning_connections_outnumbering_engine_threads_share_one_shard() {
+    // Six connections on one shard exceed the shard engine's
+    // `max_threads` (2): any of them may own the shard, so each owner
+    // must run as the engine's id 0. Reconnecting makes the server's
+    // connection threads come and go.
+    const CONNS: u64 = 6;
+    let server = KvServer::start(KvConfig::default().with_shards(1).with_watchdog_ms(10_000))
+        .expect("server start");
+    let addr = server.local_addr();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let clients = std::thread::spawn(move || {
+        let incrs: u64 = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..CONNS)
+                .map(|tid| s.spawn(move || churning_connection(addr, tid)))
+                .collect();
+            hs.into_iter().map(|h| h.join().expect("connection")).sum()
+        });
+        let _ = tx.send(incrs);
+    });
+    // A stranded queued request blocks its connection forever; the
+    // timeout turns that into a failure instead of a hang.
+    let incrs = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("connections failed or hung");
+    clients.join().expect("client threads");
+
+    let mut client = KvClient::connect(addr).expect("connect");
+    assert_eq!(
+        client.get(b"shared").expect("GET"),
+        Some(incrs.to_string().into_bytes()),
+        "the shared counter lost or duplicated an INCR"
+    );
+    client.shutdown().expect("SHUTDOWN");
+    server.join().expect("clean join");
+}
+
 #[test]
 fn shutdown_drains_and_join_returns() {
-    let server = KvServer::start(KvConfig::default().with_shards(4).with_workers(2))
-        .expect("server start");
+    let server = KvServer::start(KvConfig::default().with_shards(4)).expect("server start");
     let addr = server.local_addr();
     let mut client = KvClient::connect(addr).expect("connect");
     client.set(b"k", b"v").expect("SET");
@@ -155,12 +222,9 @@ fn shutdown_drains_and_join_returns() {
 #[test]
 fn a_dead_worker_is_a_stall_not_a_hang() {
     // A shard memory this small runs out after a few thousand keys, and
-    // the worker panics inside the engine with the request it was
+    // the shard's owner panics inside the engine with the request it was
     // serving unanswered. The watchdog must still see that request.
-    let mut cfg = KvConfig::default()
-        .with_shards(1)
-        .with_workers(1)
-        .with_watchdog_ms(300);
+    let mut cfg = KvConfig::default().with_shards(1).with_watchdog_ms(300);
     cfg.words_per_shard = 1 << 14;
     let server = KvServer::start(cfg).expect("server start");
     let addr = server.local_addr();

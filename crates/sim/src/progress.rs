@@ -1,7 +1,7 @@
 //! Reusable per-worker progress accounting and stall detection.
 //!
-//! The native driver ([`crate::native`]) and the KV service's worker
-//! pool (`hcf-kv`) both need the same watchdog: a set of per-worker
+//! The native driver ([`crate::native`]) and the KV service (`hcf-kv`,
+//! one counter per shard) both need the same watchdog: a set of per-worker
 //! monotonic completion counters probed by a monitor thread, which
 //! declares a stall when the *sum* stops advancing for a deadline.
 //! Before this module each user would have re-implemented the
