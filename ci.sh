@@ -41,6 +41,9 @@ echo "==> perfbench: the repository benchmark's own tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 python3 -m unittest perfbench/test_spread.py
 
+echo "==> hcf-core's own tests with txsan compiled in (record identities, force_status)"
+cargo test -q --offline -p hcf-core --features txsan
+
 echo "==> sim suite under the txsan sanitizer feature"
 cargo test -q --offline -p hcf-sim --features txsan
 

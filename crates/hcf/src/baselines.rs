@@ -1,9 +1,11 @@
-//! Standalone implementations of the baselines evaluated in §3:
-//! global lock, TLE, FC, SCM, and the naive TLE+FC composition.
+//! Standalone implementations of the baselines evaluated in §3 that need
+//! no publication machinery: global lock, TLE and SCM.
 //!
-//! FC and TLE+FC are thin wrappers over [`HcfEngine`] with the §2.4
-//! configurations that recover those algorithms; Lock, TLE and SCM are
-//! independent implementations (they need no publication machinery).
+//! FC and the naive TLE+FC composition are [`HcfEngine`](crate::HcfEngine)
+//! itself under the §2.4 configurations
+//! [`HcfConfig::fc`](crate::HcfConfig::fc) and
+//! [`HcfConfig::tle_fc`](crate::HcfConfig::tle_fc);
+//! [`Variant::build`](crate::Variant::build) constructs them that way.
 
 use std::fmt;
 use std::sync::Arc;
@@ -11,7 +13,6 @@ use std::sync::Arc;
 use hcf_tmem::{DirectCtx, ElidableLock, MemCtx, Runtime, TMem, TxCtx, TxResult};
 
 use crate::ds::DataStructure;
-use crate::engine::{HcfConfig, HcfEngine};
 use crate::executor::Executor;
 use crate::stats::{ExecStats, ExecStatsSnapshot, Phase};
 
@@ -288,99 +289,10 @@ impl<D: DataStructure> fmt::Debug for ScmExecutor<D> {
     }
 }
 
-/// Flat combining: the §2.4 HCF configuration with zero HTM budgets and a
-/// help-everyone combiner.
-pub struct FcExecutor<D: DataStructure> {
-    inner: HcfEngine<D>,
-}
-
-impl<D: DataStructure> FcExecutor<D> {
-    /// Builds the executor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion.
-    pub fn new(
-        ds: Arc<D>,
-        mem: Arc<TMem>,
-        rt: Arc<dyn Runtime>,
-        max_threads: usize,
-    ) -> TxResult<Self> {
-        Ok(FcExecutor {
-            inner: HcfEngine::new(ds, mem, rt, HcfConfig::fc(max_threads))?,
-        })
-    }
-}
-
-impl<D: DataStructure> Executor<D> for FcExecutor<D> {
-    fn execute(&self, op: D::Op) -> D::Res {
-        self.inner.execute(op)
-    }
-
-    fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "FC"
-    }
-}
-
-impl<D: DataStructure> fmt::Debug for FcExecutor<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FcExecutor").finish_non_exhaustive()
-    }
-}
-
-/// The naive TLE-then-FC composition (§1, §3.3): speculate like TLE, and
-/// on failure announce and combine *under the lock* (no combining
-/// transactions).
-pub struct TleFcExecutor<D: DataStructure> {
-    inner: HcfEngine<D>,
-}
-
-impl<D: DataStructure> TleFcExecutor<D> {
-    /// Builds the executor with the given HTM attempt budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion.
-    pub fn new(
-        ds: Arc<D>,
-        mem: Arc<TMem>,
-        rt: Arc<dyn Runtime>,
-        max_threads: usize,
-        attempts: u32,
-    ) -> TxResult<Self> {
-        Ok(TleFcExecutor {
-            inner: HcfEngine::new(ds, mem, rt, HcfConfig::tle_fc(max_threads, attempts))?,
-        })
-    }
-}
-
-impl<D: DataStructure> Executor<D> for TleFcExecutor<D> {
-    fn execute(&self, op: D::Op) -> D::Res {
-        self.inner.execute(op)
-    }
-
-    fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "TLE+FC"
-    }
-}
-
-impl<D: DataStructure> fmt::Debug for TleFcExecutor<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TleFcExecutor").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HcfConfig;
     use crate::executor::Variant;
     use hcf_tmem::{Addr, MemCtx, RealRuntime, TMemConfig};
 

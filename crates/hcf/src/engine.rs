@@ -2,19 +2,18 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use hcf_util::sync::Mutex;
+use std::sync::{Arc, OnceLock};
 
 use hcf_tmem::{AbortCause, DirectCtx, ElidableLock, MemCtx, Runtime, TMem, TxCtx, TxResult};
 
 use crate::ds::DataStructure;
 use crate::policy::{PhasePolicy, SelectPolicy};
 use crate::pubarray::PubArray;
-use crate::record::{OpRecord, OpStatus};
+use crate::record::{OpStatus, PubRecord};
 use crate::stats::{ExecStats, ExecStatsSnapshot, Phase};
 
-type Rec<D> = Arc<OpRecord<<D as DataStructure>::Op, <D as DataStructure>::Res>>;
+/// Marks a retired batch entry until `retire` compacts it away.
+const RETIRED: usize = usize::MAX;
 
 /// Construction-time configuration of an [`HcfEngine`].
 #[derive(Clone, Debug)]
@@ -99,11 +98,22 @@ pub struct HcfEngine<D: DataStructure> {
     /// Packed [`PhasePolicy`] per array; mutable at run time (§2.4: "the
     /// customization may be dynamic") — see [`HcfEngine::set_policy`].
     policies: Vec<AtomicU64>,
-    /// Per-thread descriptor registry: `registry[t]` holds thread `t`'s
-    /// announced operation. Slots in publication arrays store thread ids;
-    /// combiners resolve them here. An entry is guaranteed live while the
-    /// thread's slot is non-zero (see `choose_ops_to_help`).
-    registry: Vec<Mutex<Option<Rec<D>>>>,
+    /// `recs[t]` is thread `t`'s publication record (§2.2), created at its
+    /// first announcement (so kv shards, which finish every op in
+    /// TryPrivate, allocate none) and reused for every later one. Slots
+    /// store thread ids; combiners find the announced op here.
+    ///
+    /// Exactly-once and reuse (§2.3): the slot decides who applies an
+    /// announced op (the owner's TryVisible read-and-clear or a combiner's
+    /// clear under the selection lock; either clear fails the other), and
+    /// only the winner moves the record past `Announced`. A combiner copies
+    /// the op at selection, stores the result, publishes `Done` and never
+    /// touches the record again. The owner overwrites the op and resets the
+    /// status only at its next announcement, after it saw `Done` and took
+    /// the result, so no combiner sees a record reused under it and no
+    /// result is taken twice.
+    #[allow(clippy::type_complexity)]
+    recs: Vec<OnceLock<Box<PubRecord<D::Op, D::Res>>>>,
     stats: ExecStats,
     name: &'static str,
     max_threads: usize,
@@ -147,7 +157,7 @@ impl<D: DataStructure> HcfEngine<D> {
             lock,
             arrays,
             policies,
-            registry: (0..config.max_threads).map(|_| Mutex::new(None)).collect(),
+            recs: (0..config.max_threads).map(|_| OnceLock::new()).collect(),
             stats: ExecStats::new(n),
             name: config.name,
             max_threads: config.max_threads,
@@ -199,73 +209,73 @@ impl<D: DataStructure> HcfEngine<D> {
         );
         let aid = self.ds.array_of(&op);
         let pol = self.policy(aid);
-        let rec: Rec<D> = Arc::new(OpRecord::new(op));
 
         // Phase 1: TryPrivate.
-        if let Some(res) = self.try_private(&rec, aid, &pol) {
+        if let Some(res) = self.try_private(&op, aid, &pol) {
             self.stats.completed(aid, Phase::Private);
             return res;
         }
 
-        // Announce: registry entry first, then status, then the slot; a
-        // combiner that observes the slot is guaranteed to find the entry.
-        *self.registry[tid].lock() = Some(rec.clone());
-        rec.set_status(OpStatus::Announced);
+        // Announce: record (op, then status) first, then the slot; a
+        // combiner that observes the slot finds the op in the record.
+        let rec = self.recs[tid].get_or_init(Box::default);
+        rec.announce(op.clone());
         self.arrays[aid].announce(self.rt.as_ref(), tid);
 
         // Phase 2: TryVisible.
-        match self.try_visible(&rec, tid, aid, &pol) {
+        match self.try_visible(rec, &op, tid, aid, &pol) {
             VisibleOutcome::Applied(res) => {
                 self.stats.completed(aid, Phase::Visible);
-                self.clear_registry(tid);
                 return res;
             }
-            VisibleOutcome::Helped => return self.await_result(&rec, tid),
+            VisibleOutcome::Helped => return self.await_result(rec),
             VisibleOutcome::Exhausted => {}
         }
 
         // Phases 3 and 4: TryCombining, CombineUnderLock.
-        self.combine(&rec, tid, aid, &pol)
+        self.combine(op, tid, aid, &pol)
     }
 
-    fn try_private(&self, rec: &Rec<D>, aid: usize, pol: &PhasePolicy) -> Option<D::Res> {
+    /// One speculative attempt: runs `body` in a transaction subscribed to
+    /// the data-structure lock, commits it or rolls it back, and counts
+    /// the outcome.
+    fn attempt<T>(
+        &self,
+        aid: usize,
+        body: impl FnOnce(&mut dyn MemCtx) -> TxResult<T>,
+    ) -> TxResult<T> {
+        self.stats.attempt(aid);
+        let mut tx = self.mem.begin(self.rt.as_ref());
+        let ran = {
+            let mut ctx = TxCtx::new(&mut tx);
+            ctx.subscribe(&self.lock).and_then(|()| body(&mut ctx))
+        };
+        let out = match ran {
+            Ok(v) => tx.commit().map(|()| v),
+            Err(c) => Err(tx.rollback(c)),
+        };
+        match &out {
+            Ok(_) => self.stats.commit(aid),
+            Err(c) => self.stats.abort(*c),
+        }
+        out
+    }
+
+    fn try_private(&self, op: &D::Op, aid: usize, pol: &PhasePolicy) -> Option<D::Res> {
         for attempt in 0..pol.try_private {
-            self.stats.attempt(aid);
-            let mut tx = self.mem.begin(self.rt.as_ref());
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                ctx.subscribe(&self.lock)
-                    .and_then(|()| self.ds.run_seq(&mut ctx, &rec.op))
-            };
-            match body {
-                Ok(res) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        return Some(res);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if !c.is_transient() {
-                        break;
-                    }
-                }
+            match self.attempt(aid, |ctx| self.ds.run_seq(ctx, op)) {
+                Ok(res) => return Some(res),
+                Err(c) if !c.is_transient() => break,
+                Err(_) => self.rt.backoff(attempt),
             }
-            self.rt.backoff(attempt);
         }
         None
     }
 
     fn try_visible(
         &self,
-        rec: &Rec<D>,
+        rec: &PubRecord<D::Op, D::Res>,
+        op: &D::Op,
         tid: usize,
         aid: usize,
         pol: &PhasePolicy,
@@ -276,132 +286,87 @@ impl<D: DataStructure> HcfEngine<D> {
             if rec.status() != OpStatus::Announced {
                 return VisibleOutcome::Helped;
             }
-            self.stats.attempt(aid);
-            let mut tx = self.mem.begin(self.rt.as_ref());
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                (|| {
-                    ctx.subscribe(&self.lock)?;
-                    ctx.subscribe(&pa.selection)?;
-                    if rec.status() != OpStatus::Announced {
-                        ctx.explicit_abort(AbortCause::STATUS_CHANGED)?;
-                    }
-                    // Exactly-once linchpin: read-and-clear our slot inside
-                    // the transaction. A combiner's selection clears the
-                    // slot with a version-bumping direct write, so this
-                    // transaction cannot commit once we have been selected.
-                    let tag = ctx.read(slot)?;
-                    debug_assert_eq!(tag, PubArray::tag(tid));
-                    let res = self.ds.run_seq(&mut ctx, &rec.op)?;
-                    ctx.write(slot, 0)?;
-                    Ok(res)
-                })()
-            };
-            match body {
-                Ok(res) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        rec.complete(res.clone());
-                        return VisibleOutcome::Applied(res);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if c == AbortCause::Explicit(AbortCause::STATUS_CHANGED) {
-                        return VisibleOutcome::Helped;
-                    }
-                    if !c.is_transient() {
-                        break;
-                    }
+            let applied = self.attempt(aid, |ctx| {
+                ctx.subscribe(&pa.selection)?;
+                if rec.status() != OpStatus::Announced {
+                    ctx.explicit_abort(AbortCause::STATUS_CHANGED)?;
                 }
+                // Exactly-once linchpin: read-and-clear our slot inside
+                // the transaction. A combiner's selection clears the
+                // slot with a version-bumping direct write, so this
+                // transaction cannot commit once we have been selected.
+                let tag = ctx.read(slot)?;
+                debug_assert_eq!(tag, PubArray::tag(tid));
+                let res = self.ds.run_seq(ctx, op)?;
+                ctx.write(slot, 0)?;
+                Ok(res)
+            });
+            match applied {
+                Ok(res) => {
+                    rec.set_status(OpStatus::Done);
+                    return VisibleOutcome::Applied(res);
+                }
+                Err(AbortCause::Explicit(AbortCause::STATUS_CHANGED)) => {
+                    return VisibleOutcome::Helped
+                }
+                Err(c) if !c.is_transient() => break,
+                Err(_) => self.rt.backoff(attempt),
             }
-            self.rt.backoff(attempt);
         }
         VisibleOutcome::Exhausted
     }
 
     /// Phases 3 and 4: become a combiner for array `aid`.
-    fn combine(&self, rec: &Rec<D>, tid: usize, aid: usize, pol: &PhasePolicy) -> D::Res {
+    fn combine(&self, op: D::Op, tid: usize, aid: usize, pol: &PhasePolicy) -> D::Res {
         let rt = self.rt.as_ref();
         let pa = &self.arrays[aid];
+        let rec = self.rec(tid);
 
         pa.selection.lock(rt);
         // While we competed for the selection lock another combiner may
         // have selected (and perhaps completed) our operation.
         if rec.status() != OpStatus::Announced {
             pa.selection.unlock(rt);
-            return self.await_result(rec, tid);
+            return self.await_result(rec);
         }
-        let mut pending = self.choose_ops_to_help(tid, aid, rec, pol);
+        // The buffers leave the record for the session, so no mutex is
+        // held across a TMem access.
+        let mut batch = std::mem::take(&mut *rec.batch.lock());
+        let (tids, ops) = &mut batch;
+        self.choose_ops_to_help(op, tid, aid, pol, tids, ops);
         if !pol.specialized {
             pa.selection.unlock(rt);
         }
-        self.stats.session(aid, pending.len());
+        self.stats.session(aid, tids.len());
 
         // Phase 3: apply selected operations in transactions.
         let mut attempts = 0;
-        while !pending.is_empty() && attempts < pol.try_combining {
+        while !tids.is_empty() && attempts < pol.try_combining {
             attempts += 1;
-            self.stats.attempt(aid);
-            let chunk = pending.len().min(self.ds.max_multi().max(1));
-            let ops: Vec<D::Op> = pending[..chunk].iter().map(|r| r.op.clone()).collect();
-            let mut tx = self.mem.begin(rt);
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                ctx.subscribe(&self.lock)
-                    .and_then(|()| self.ds.run_multi(&mut ctx, &ops))
-            };
-            match body {
-                Ok(results) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        Self::check_results(&results, chunk);
-                        self.retire(aid, &mut pending, results, Phase::Combining);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                        rt.backoff(attempts);
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if !c.is_transient() {
-                        break;
-                    }
-                    rt.backoff(attempts);
-                }
+            let chunk = tids.len().min(self.ds.max_multi().max(1));
+            match self.attempt(aid, |ctx| self.ds.run_multi(ctx, &ops[..chunk])) {
+                Ok(results) => self.retire(aid, chunk, tids, ops, results, Phase::Combining),
+                Err(c) if !c.is_transient() => break,
+                Err(_) => rt.backoff(attempts),
             }
         }
 
         // Phase 4: apply the rest under the data-structure lock.
-        if !pending.is_empty() {
+        if !tids.is_empty() {
             self.lock.lock(rt);
             self.stats.lock_acquired();
-            while !pending.is_empty() {
-                let chunk = pending.len().min(self.ds.max_multi().max(1));
-                let ops: Vec<D::Op> = pending[..chunk].iter().map(|r| r.op.clone()).collect();
+            while !tids.is_empty() {
+                let chunk = tids.len().min(self.ds.max_multi().max(1));
                 let mut ctx = DirectCtx::new(&self.mem, rt);
                 let results = self
                     .ds
-                    .run_multi(&mut ctx, &ops)
+                    .run_multi(&mut ctx, &ops[..chunk])
                     .expect("run_multi cannot abort under the lock");
                 assert!(
                     !results.is_empty(),
                     "run_multi must make progress under the lock"
                 );
-                Self::check_results(&results, chunk);
-                self.retire(aid, &mut pending, results, Phase::Lock);
+                self.retire(aid, chunk, tids, ops, results, Phase::Lock);
             }
             self.lock.unlock(rt);
         }
@@ -409,110 +374,106 @@ impl<D: DataStructure> HcfEngine<D> {
             pa.selection.unlock(rt);
         }
 
+        *rec.batch.lock() = batch;
         debug_assert_eq!(rec.status(), OpStatus::Done);
-        self.clear_registry(tid);
         rec.take_result()
     }
 
     /// `chooseOpsToHelp` (§2.2): select announced operations from the
-    /// array, always including our own. Caller holds the selection lock,
-    /// which (a) serializes selection per array, and (b) — because its
-    /// acquisition quiesced in-flight commits and TryVisible transactions
-    /// subscribe to it — freezes slot removals for the duration of the
-    /// scan. New announcements may appear mid-scan and are simply picked
-    /// up or left for the next combiner.
+    /// array into the empty `tids`/`ops` buffers, always including our own
+    /// `op` first. Caller holds the selection lock, which (a) serializes
+    /// selection per array, and (b) — because its acquisition quiesced
+    /// in-flight commits and TryVisible transactions subscribe to it —
+    /// freezes slot removals for the duration of the scan. New
+    /// announcements may appear mid-scan and are simply picked up or left
+    /// for the next combiner.
     fn choose_ops_to_help(
         &self,
+        op: D::Op,
         tid: usize,
         aid: usize,
-        my: &Rec<D>,
         pol: &PhasePolicy,
-    ) -> Vec<Rec<D>> {
+        tids: &mut Vec<usize>,
+        ops: &mut Vec<D::Op>,
+    ) {
         let rt = self.rt.as_ref();
         let pa = &self.arrays[aid];
-        let mut chosen: Vec<Rec<D>> = Vec::new();
 
         debug_assert!(pa.is_announced(rt, tid), "own slot vanished");
-        my.set_status(OpStatus::BeingHelped);
+        self.rec(tid).set_status(OpStatus::BeingHelped);
         pa.clear(rt, tid);
-        chosen.push(my.clone());
+        tids.push(tid);
+        ops.push(op);
 
         if pol.select != SelectPolicy::OwnOnly {
             let mut heur = DirectCtx::new(&self.mem, rt);
-            for t in pa.scan(rt) {
-                if t == tid {
-                    continue;
-                }
-                let other: Option<Rec<D>> = self.registry[t].lock().clone();
-                let Some(other) = other else {
-                    debug_assert!(false, "occupied slot without registry entry");
-                    continue;
-                };
+            // Scan every slot first, then decide in ascending tid order,
+            // keeping the chosen ids in place behind our own.
+            pa.scan(rt, tids);
+            let mut kept = 1;
+            for i in 1..tids.len() {
+                let t = tids[i];
+                debug_assert_ne!(t, tid, "own slot was cleared before the scan");
+                let other = self.rec(t);
                 debug_assert_eq!(other.status(), OpStatus::Announced);
+                ops.push(other.op());
                 let take = pol.select == SelectPolicy::All
-                    || self.ds.should_help(&mut heur, &my.op, &other.op);
+                    || self.ds.should_help(&mut heur, &ops[0], &ops[kept]);
                 if take {
                     other.set_status(OpStatus::BeingHelped);
                     pa.clear(rt, t);
-                    chosen.push(other);
+                    tids[kept] = t;
+                    kept += 1;
+                } else {
+                    ops.pop();
                 }
             }
+            tids.truncate(kept);
         }
-        chosen
     }
 
-    fn check_results(results: &[(usize, D::Res)], chunk: usize) {
-        debug_assert!(
-            results.iter().all(|&(i, _)| i < chunk),
-            "run_multi returned an index outside the chunk"
-        );
-        debug_assert!(
-            {
-                let mut idx: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
-                idx.sort_unstable();
-                idx.windows(2).all(|w| w[0] != w[1])
-            },
-            "run_multi returned duplicate indices"
-        );
-    }
-
-    /// Publishes the results of one successful `run_multi` call and drops
-    /// the applied operations from `pending`. Result indices refer to the
-    /// chunk, which is a prefix of `pending`.
+    /// Publishes the results of one successful `run_multi` call on the
+    /// first `chunk` batch entries, then drops the applied ones in one
+    /// order-preserving compaction.
     fn retire(
         &self,
         aid: usize,
-        pending: &mut Vec<Rec<D>>,
+        chunk: usize,
+        tids: &mut Vec<usize>,
+        ops: &mut Vec<D::Op>,
         results: Vec<(usize, D::Res)>,
         phase: Phase,
     ) {
-        let mut applied: Vec<usize> = Vec::with_capacity(results.len());
         for (i, res) in results {
-            pending[i].complete(res);
+            debug_assert!(i < chunk, "run_multi returned an index outside the chunk");
+            debug_assert_ne!(tids[i], RETIRED, "run_multi returned a duplicate index");
+            // Our last touch of record `tids[i]`: it publishes `Done`.
+            self.rec(tids[i]).complete(res);
             self.stats.completed(aid, phase);
-            applied.push(i);
+            tids[i] = RETIRED;
         }
-        applied.sort_unstable();
-        for &i in applied.iter().rev() {
-            pending.remove(i);
-        }
+        let mut entry = tids.iter();
+        ops.retain(|_| entry.next() != Some(&RETIRED));
+        tids.retain(|&t| t != RETIRED);
+    }
+
+    /// Thread `t`'s record; it exists once `t` has announced.
+    fn rec(&self, t: usize) -> &PubRecord<D::Op, D::Res> {
+        self.recs[t]
+            .get()
+            .expect("an announced thread has a record")
     }
 
     /// Spin until a combiner finishes our operation, then return its
     /// result. (§2.2: "the owner waits for the combiner to complete the
     /// operation by spinning on the status field".)
-    fn await_result(&self, rec: &Rec<D>, tid: usize) -> D::Res {
+    fn await_result(&self, rec: &PubRecord<D::Op, D::Res>) -> D::Res {
         let mut attempt = 0u32;
         while rec.status() != OpStatus::Done {
             self.rt.backoff(attempt);
             attempt = attempt.saturating_add(1);
         }
-        self.clear_registry(tid);
         rec.take_result()
-    }
-
-    fn clear_registry(&self, tid: usize) {
-        *self.registry[tid].lock() = None;
     }
 }
 

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use hcf_tmem::{Runtime, TMem, TxResult};
 
-use crate::baselines::{FcExecutor, LockExecutor, ScmExecutor, TleExecutor, TleFcExecutor};
+use crate::baselines::{LockExecutor, ScmExecutor, TleExecutor};
 use crate::ds::DataStructure;
 use crate::engine::{HcfConfig, HcfEngine};
 use crate::stats::ExecStatsSnapshot;
@@ -100,9 +100,14 @@ impl Variant {
             Variant::Hcf => Arc::new(HcfEngine::new(ds, mem, rt, hcf_config)?),
             Variant::Lock => Arc::new(LockExecutor::new(ds, mem, rt)?),
             Variant::Tle => Arc::new(TleExecutor::new(ds, mem, rt, attempts)?),
-            Variant::Fc => Arc::new(FcExecutor::new(ds, mem, rt, max_threads)?),
+            Variant::Fc => Arc::new(HcfEngine::new(ds, mem, rt, HcfConfig::fc(max_threads))?),
             Variant::Scm => Arc::new(ScmExecutor::new(ds, mem, rt, attempts)?),
-            Variant::TleFc => Arc::new(TleFcExecutor::new(ds, mem, rt, max_threads, attempts)?),
+            Variant::TleFc => Arc::new(HcfEngine::new(
+                ds,
+                mem,
+                rt,
+                HcfConfig::tle_fc(max_threads, attempts),
+            )?),
         })
     }
 }

@@ -29,11 +29,12 @@
 //! presets, and the specialized single-combiner variant (selection lock
 //! held for the whole combining session) is the `specialized` flag.
 //!
-//! The crate also contains standalone implementations of every baseline
-//! the paper evaluates against: a global lock, TLE, flat combining, SCM
-//! (TLE with an auxiliary lock, Afek et al.), and the naive TLE+FC
-//! composition — all behind the common [`Executor`] trait so that the
-//! experiment harness treats them uniformly.
+//! The crate also provides every baseline the paper evaluates against:
+//! a global lock, TLE and SCM (TLE with an auxiliary lock, Afek et al.)
+//! as standalone executors, and flat combining and the naive TLE+FC
+//! composition as engine configurations ([`HcfConfig::fc`],
+//! [`HcfConfig::tle_fc`]) — all behind the common [`Executor`] trait so
+//! that the experiment harness treats them uniformly.
 //!
 //! ## Example
 //!
@@ -84,7 +85,7 @@ pub mod record;
 pub mod stats;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveEngine};
-pub use baselines::{FcExecutor, LockExecutor, ScmExecutor, TleExecutor, TleFcExecutor};
+pub use baselines::{LockExecutor, ScmExecutor, TleExecutor};
 pub use ds::DataStructure;
 pub use engine::{HcfConfig, HcfEngine};
 pub use executor::{Executor, Variant};

@@ -86,17 +86,16 @@ impl PubArray {
         self.mem.read_direct(rt, self.slot(tid)) != 0
     }
 
-    /// Scans all slots, returning the thread ids with announcements.
-    /// Callers must hold the selection lock for the result to be stable
-    /// (new announcements may still appear; none can disappear, §2.2).
-    pub fn scan(&self, rt: &dyn Runtime) -> Vec<usize> {
-        let mut out = Vec::new();
+    /// Scans all slots in ascending thread-id order, appending the ids
+    /// with announcements to `out`. Callers must hold the selection lock
+    /// for the result to be stable (new announcements may still appear;
+    /// none can disappear, §2.2).
+    pub fn scan(&self, rt: &dyn Runtime, out: &mut Vec<usize>) {
         for t in 0..self.max_threads {
             if self.mem.read_direct(rt, self.slot(t)) != 0 {
                 out.push(t);
             }
         }
-        out
     }
 
     /// Number of slots.
@@ -126,16 +125,22 @@ mod tests {
         (mem, rt, pa)
     }
 
+    fn scanned(pa: &PubArray, rt: &RealRuntime) -> Vec<usize> {
+        let mut out = vec![99];
+        pa.scan(rt, &mut out);
+        out.split_off(1)
+    }
+
     #[test]
     fn announce_scan_clear() {
         let (_m, rt, pa) = setup();
-        assert!(pa.scan(&rt).is_empty());
-        pa.announce(&rt, 3);
+        assert!(scanned(&pa, &rt).is_empty());
         pa.announce(&rt, 5);
-        assert_eq!(pa.scan(&rt), vec![3, 5]);
+        pa.announce(&rt, 3);
+        assert_eq!(scanned(&pa, &rt), vec![3, 5], "ascending, appended");
         assert!(pa.is_announced(&rt, 3));
         pa.clear(&rt, 3);
-        assert_eq!(pa.scan(&rt), vec![5]);
+        assert_eq!(scanned(&pa, &rt), vec![5]);
         assert!(!pa.is_announced(&rt, 3));
     }
 

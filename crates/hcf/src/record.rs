@@ -1,6 +1,8 @@
-//! Operation descriptors shared between owners and combiners.
+//! Per-thread publication records shared between owners and combiners.
 
 use std::fmt;
+#[cfg(feature = "txsan")]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use hcf_util::sync::Mutex;
@@ -16,7 +18,7 @@ pub enum OpStatus {
     Announced = 1,
     /// Selected by a combiner; the owner must wait for `Done`.
     BeingHelped = 2,
-    /// Applied; the result is available in the descriptor.
+    /// Applied; the result is available in the record.
     Done = 3,
 }
 
@@ -32,8 +34,10 @@ impl OpStatus {
     }
 }
 
-/// The shared descriptor for one in-flight operation: its arguments, its
-/// status, and a cell for its result.
+/// One thread's publication record (§2.2): the operation it announced,
+/// its status, and a cell for its result. The engine keeps one record per
+/// thread id, padded to its own cache lines, and reuses it for every
+/// operation that thread announces.
 ///
 /// Synchronization contract: a combiner stores the result *before* setting
 /// the status to [`OpStatus::Done`] with release ordering; the owner reads
@@ -41,30 +45,67 @@ impl OpStatus {
 /// word is a plain process atomic (not a `tmem` word) — the exactly-once
 /// argument (§2.3) rests on the *publication-array slot* being read
 /// transactionally, see `engine.rs`.
-pub struct OpRecord<Op, Res> {
-    /// The operation's arguments.
-    pub op: Op,
+#[repr(align(128))]
+pub struct PubRecord<Op, Res> {
     status: AtomicU8,
+    op: Mutex<Option<Op>>,
     result: Mutex<Option<Res>>,
-    /// Sanitizer identity of this record (see `hcf_tmem::san`).
+    /// The owner's combining buffers (selected thread ids and their ops),
+    /// kept so their capacity is reused. Only the owner touches them.
+    pub(crate) batch: Mutex<(Vec<usize>, Vec<Op>)>,
+    /// Sanitizer identity of the record's current use (see
+    /// `hcf_tmem::san`); every [`PubRecord::announce`] takes a fresh one.
     #[cfg(feature = "txsan")]
-    san_id: u64,
+    san_id: AtomicU64,
 }
 
-impl<Op, Res> OpRecord<Op, Res> {
-    /// Creates a descriptor in the [`OpStatus::Unannounced`] state.
-    pub fn new(op: Op) -> Self {
-        OpRecord {
-            op,
+impl<Op, Res> Default for PubRecord<Op, Res> {
+    /// An unused record in the [`OpStatus::Unannounced`] state.
+    fn default() -> Self {
+        PubRecord {
             status: AtomicU8::new(OpStatus::Unannounced as u8),
+            op: Mutex::new(None),
             result: Mutex::new(None),
+            batch: Mutex::new((Vec::new(), Vec::new())),
             #[cfg(feature = "txsan")]
-            san_id: hcf_tmem::san::fresh_id(),
+            san_id: AtomicU64::new(hcf_tmem::san::fresh_id()),
         }
+    }
+}
+
+impl<Op, Res> PubRecord<Op, Res> {
+    /// Starts the record's next use: stores `op` and moves to
+    /// [`OpStatus::Announced`]. Only the owner calls this, once its previous
+    /// operation is `Done` and its result taken. Under `txsan` each use is
+    /// a fresh record identity, which starts at `Unannounced`.
+    pub fn announce(&self, op: Op) {
+        debug_assert!(
+            matches!(self.status(), OpStatus::Unannounced | OpStatus::Done),
+            "record reused while {:?}",
+            self.status()
+        );
+        *self.op.lock() = Some(op);
+        self.status
+            .store(OpStatus::Unannounced as u8, Ordering::Relaxed);
+        #[cfg(feature = "txsan")]
+        self.san_id
+            .store(hcf_tmem::san::fresh_id(), Ordering::Relaxed);
+        self.set_status(OpStatus::Announced);
+    }
+
+    /// A copy of the announced operation, for a combiner selecting it.
+    pub(crate) fn op(&self) -> Op
+    where
+        Op: Clone,
+    {
+        self.op
+            .lock()
+            .clone()
+            .expect("record holds no announced op")
     }
 
     /// Current status (acquire ordering, pairs with
-    /// [`OpRecord::complete`]).
+    /// [`PubRecord::complete`]).
     pub fn status(&self) -> OpStatus {
         OpStatus::from_u8(self.status.load(Ordering::Acquire))
     }
@@ -84,13 +125,7 @@ impl<Op, Res> OpRecord<Op, Res> {
             );
             debug_assert!(ok, "illegal status transition {cur:?} -> {s:?}");
         }
-        #[cfg(feature = "txsan")]
-        hcf_tmem::san::log(hcf_tmem::san::SanEvent::RecTransition {
-            rec: self.san_id,
-            from: self.status.load(Ordering::Acquire) as u64,
-            to: s as u64,
-        });
-        self.status.store(s as u8, Ordering::Release);
+        self.store_status(s);
     }
 
     /// Fault-injection hook for the sanitizer's negative tests: stores an
@@ -99,8 +134,13 @@ impl<Op, Res> OpRecord<Op, Res> {
     /// edge.
     #[cfg(feature = "txsan")]
     pub fn force_status(&self, s: OpStatus) {
+        self.store_status(s);
+    }
+
+    fn store_status(&self, s: OpStatus) {
+        #[cfg(feature = "txsan")]
         hcf_tmem::san::log(hcf_tmem::san::SanEvent::RecTransition {
-            rec: self.san_id,
+            rec: self.san_id.load(Ordering::Relaxed),
             from: self.status.load(Ordering::Acquire) as u64,
             to: s as u64,
         });
@@ -129,10 +169,10 @@ impl<Op, Res> OpRecord<Op, Res> {
     }
 }
 
-impl<Op: fmt::Debug, Res> fmt::Debug for OpRecord<Op, Res> {
+impl<Op: fmt::Debug, Res> fmt::Debug for PubRecord<Op, Res> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OpRecord")
-            .field("op", &self.op)
+        f.debug_struct("PubRecord")
+            .field("op", &*self.op.lock())
             .field("status", &self.status())
             .finish()
     }
@@ -142,11 +182,14 @@ impl<Op: fmt::Debug, Res> fmt::Debug for OpRecord<Op, Res> {
 mod tests {
     use super::*;
 
+    type Rec = PubRecord<u32, u32>;
+
     #[test]
     fn lifecycle() {
-        let r: OpRecord<u32, u32> = OpRecord::new(7);
+        let r = Rec::default();
         assert_eq!(r.status(), OpStatus::Unannounced);
-        r.set_status(OpStatus::Announced);
+        r.announce(7);
+        assert_eq!(r.op(), 7);
         r.set_status(OpStatus::BeingHelped);
         r.complete(42);
         assert_eq!(r.status(), OpStatus::Done);
@@ -155,33 +198,55 @@ mod tests {
 
     #[test]
     fn announced_to_done_directly() {
-        let r: OpRecord<u32, u32> = OpRecord::new(7);
-        r.set_status(OpStatus::Announced);
+        let r = Rec::default();
+        r.announce(7);
         r.complete(1);
         assert_eq!(r.take_result(), 1);
     }
 
     #[test]
+    fn a_done_record_is_reused() {
+        let r = Rec::default();
+        for i in 0..3 {
+            r.announce(i);
+            assert_eq!(r.status(), OpStatus::Announced);
+            assert_eq!(r.op(), i);
+            r.complete(i * 10);
+            assert_eq!(r.take_result(), i * 10);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "record reused while BeingHelped")]
+    fn reuse_in_flight_panics_in_debug() {
+        let r = Rec::default();
+        r.announce(7);
+        r.set_status(OpStatus::BeingHelped);
+        r.announce(8);
+    }
+
+    #[test]
     #[should_panic(expected = "illegal status transition")]
     fn illegal_transition_panics_in_debug() {
-        let r: OpRecord<u32, u32> = OpRecord::new(7);
+        let r = Rec::default();
         r.set_status(OpStatus::Done); // skipping Announced
     }
 
     #[test]
     #[should_panic(expected = "result not ready")]
     fn take_before_done_panics() {
-        let r: OpRecord<u32, u32> = OpRecord::new(7);
+        let r = Rec::default();
         let _ = r.take_result();
     }
 
     #[test]
     fn cross_thread_handoff() {
         use std::sync::Arc;
-        let r: Arc<OpRecord<u32, u32>> = Arc::new(OpRecord::new(7));
-        r.set_status(OpStatus::Announced);
+        let r = Arc::new(Rec::default());
+        r.announce(7);
         let r2 = r.clone();
         let helper = std::thread::spawn(move || {
+            assert_eq!(r2.op(), 7);
             r2.set_status(OpStatus::BeingHelped);
             r2.complete(99);
         });

@@ -41,6 +41,7 @@
 //! accepted request is still unanswered yet no shard completes anything
 //! for [`KvConfig::watchdog_ms`].
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -343,7 +344,10 @@ struct ServerInner {
     meter: ProgressMeter,
     stop: AtomicBool,
     stall: Mutex<Option<StallInfo>>,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every live connection's stream, keyed by connection id,
+    /// so `join` can kick it off its read. Each connection thread removes
+    /// its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Monotonic clock for the monitor and for reply spinning (library
     /// code takes time through the runtime, never from the wall clock
     /// directly).
@@ -552,9 +556,10 @@ impl ServerInner {
 pub struct KvServer {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    /// Returns the connection threads it has not reaped, and whether a
+    /// reaped one panicked.
+    acceptor: Option<JoinHandle<(Vec<JoinHandle<()>>, bool)>>,
     monitor: Option<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for KvServer {
@@ -590,16 +595,14 @@ impl KvServer {
             shards,
             stop: AtomicBool::new(false),
             stall: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             clock: RealRuntime::new(),
             cfg,
         });
 
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let inner = inner.clone();
-            let conn_handles = conn_handles.clone();
-            std::thread::spawn(move || acceptor_loop(&inner, &listener, &conn_handles))
+            std::thread::spawn(move || acceptor_loop(&inner, &listener))
         };
 
         let monitor = {
@@ -612,7 +615,6 @@ impl KvServer {
             addr,
             acceptor: Some(acceptor),
             monitor: Some(monitor),
-            conn_handles,
         })
     }
 
@@ -665,17 +667,19 @@ impl KvServer {
         while !self.inner.stop.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(2));
         }
-        if let Some(h) = self.acceptor.take() {
-            h.join().expect("kv acceptor panicked");
-        }
+        let (conn_threads, reaped_panic) = self
+            .acceptor
+            .take()
+            .map(|h| h.join().expect("kv acceptor panicked"))
+            .unwrap_or_default();
         // The monitor returns once every accepted request is answered,
         // or after it declared a stall.
         if let Some(h) = self.monitor.take() {
             h.join().expect("kv monitor panicked");
         }
-        // After the acceptor exits the connection registry is final;
-        // kicking every connection off its read ends its thread.
-        for s in self.inner.conns.lock().iter() {
+        // After the acceptor exits no connection is added; kicking every
+        // live one off its read ends its thread.
+        for s in self.inner.conns.lock().values() {
             let _ = s.shutdown(Shutdown::Both);
         }
         let stall = self.inner.stall.lock().clone();
@@ -683,8 +687,8 @@ impl KvServer {
             // Stuck owners and their waiters stay detached.
             return Err(KvError::Stalled(info));
         }
-        let handles: Vec<_> = self.conn_handles.lock().drain(..).collect();
-        for h in handles {
+        assert!(!reaped_panic, "kv connection thread panicked");
+        for h in conn_threads {
             h.join().expect("kv connection thread panicked");
         }
         Ok(())
@@ -756,14 +760,13 @@ fn retire_if_handle(shard: &KvShard, old: Option<u64>) {
     }
 }
 
-fn acceptor_loop(
-    inner: &Arc<ServerInner>,
-    listener: &TcpListener,
-    conn_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn acceptor_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> (Vec<JoinHandle<()>>, bool) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut reaped_panic = false;
+    let mut next_id = 0u64;
     loop {
         if inner.stop.load(Ordering::Acquire) {
-            return;
+            return (threads, reaped_panic);
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -772,22 +775,33 @@ fn acceptor_loop(
                 if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
+                // Reap the connection threads that ended, so `threads`
+                // stays as long as the live connections.
+                for h in threads.extract_if(.., |h| h.is_finished()) {
+                    reaped_panic |= h.join().is_err();
+                }
+                let id = next_id;
+                next_id += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    inner.conns.lock().push(clone);
+                    inner.conns.lock().insert(id, clone);
                 }
                 let inner = inner.clone();
-                let h = std::thread::spawn(move || conn_loop(&inner, stream));
-                conn_handles.lock().push(h);
+                threads.push(std::thread::spawn(move || conn_loop(&inner, id, stream)));
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            Err(_) => return,
+            Err(_) => return (threads, reaped_panic),
         }
     }
 }
 
-fn conn_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
+fn conn_loop(inner: &Arc<ServerInner>, id: u64, stream: TcpStream) {
+    serve_conn(inner, stream);
+    inner.conns.lock().remove(&id);
+}
+
+fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -250,3 +250,38 @@ fn a_dead_worker_is_a_stall_not_a_hang() {
     let failed_at = client_rx.recv_timeout(timeout).expect("client still blocked");
     assert!(failed_at > 0, "the very first SET failed");
 }
+
+/// Open file descriptors of this process (0 where `/proc` is absent).
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").map_or(0, Iterator::count)
+}
+
+#[test]
+fn closed_connections_release_their_descriptors() {
+    // 200 sequential connect / SET / close cycles. Each connection holds
+    // three server-side descriptors while it lives; all must go when the
+    // client closes, or a long-running server runs out of them. Other
+    // tests of this binary open sockets too, so the count is polled
+    // until it settles rather than read once.
+    let server = KvServer::start(KvConfig::default().with_shards(1).with_watchdog_ms(10_000))
+        .expect("server start");
+    let addr = server.local_addr();
+    let before = open_fds();
+    for i in 0..200u64 {
+        let mut client = KvClient::connect(addr).expect("connect");
+        client.set(format!("k{i}").as_bytes(), b"v").expect("SET");
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut after = open_fds();
+    while after > before + 8 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(
+        after <= before + 8,
+        "open descriptors went from {before} to {after} over 200 closed connections"
+    );
+    let mut client = KvClient::connect(addr).expect("connect");
+    client.shutdown().expect("SHUTDOWN");
+    server.join().expect("clean join");
+}

@@ -4,7 +4,7 @@
 //! — if an instrumentation hook or a checker rule regresses, a seeded
 //! bug sails through and the assertion here fails.
 
-use hcf_core::record::{OpRecord, OpStatus};
+use hcf_core::record::{OpStatus, PubRecord};
 use hcf_tmem::san::SanSession;
 use hcf_tmem::{ElidableLock, RealRuntime, TMem, TMemConfig};
 use hcf_util::sync::Mutex;
@@ -136,8 +136,8 @@ fn illegal_record_transition_is_detected() {
     let _gate = SESSION_GATE.lock();
     let session = SanSession::start();
 
-    let rec = OpRecord::<u64, u64>::new(7);
-    rec.set_status(OpStatus::Announced);
+    let rec = PubRecord::<u64, u64>::default();
+    rec.announce(7);
     rec.set_status(OpStatus::BeingHelped);
     rec.complete(1); // BeingHelped -> Done: legal so far
     // A helped operation may never be re-announced: its owner could take
@@ -167,9 +167,14 @@ fn legal_record_lifecycle_is_clean() {
     let _gate = SESSION_GATE.lock();
     let session = SanSession::start();
 
-    let rec = OpRecord::<u64, u64>::new(7);
-    rec.set_status(OpStatus::Announced);
+    let rec = PubRecord::<u64, u64>::default();
+    rec.announce(7);
     rec.complete(1); // Announced -> Done (owner applied it itself)
+    assert_eq!(rec.take_result(), 1);
+    // Reuse: the next announcement starts a fresh identity at Unannounced.
+    rec.announce(8);
+    rec.set_status(OpStatus::BeingHelped);
+    rec.complete(2);
 
     let report = replay::check(&session.finish());
     assert!(report.ok(), "legal lifecycle must be clean: {report}");
