@@ -41,6 +41,10 @@ echo "==> perfbench: the repository benchmark's own tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 python3 -m unittest perfbench/test_spread.py
 
+echo "==> perfbench engine-pq (3 s): conservation holds across real arm switches"
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+perfbench/target/release/perfbench --workload engine-pq --seconds 3 >/dev/null
+
 echo "==> hcf-core's own tests with txsan compiled in (record identities, force_status)"
 cargo test -q --offline -p hcf-core --features txsan
 

@@ -495,13 +495,17 @@ impl DataStructure for AvlDs {
         }
     }
 
-    fn run_multi(&self, ctx: &mut dyn MemCtx, ops: &[SetOp]) -> TxResult<Vec<(usize, bool)>> {
+    fn run_multi(
+        &self,
+        ctx: &mut dyn MemCtx,
+        ops: &[SetOp],
+        out: &mut Vec<(usize, bool)>,
+    ) -> TxResult<()> {
         if matches!(self.mode, AvlMode::NoCombine) {
-            let mut out = Vec::with_capacity(ops.len());
             for (i, op) in ops.iter().enumerate() {
                 out.push((i, self.run_seq(ctx, op)?));
             }
-            return Ok(out);
+            return Ok(());
         }
         // Sort by key (stable on batch order within a key), then combine
         // and eliminate per key group: one membership lookup, a simulated
@@ -509,7 +513,6 @@ impl DataStructure for AvlDs {
         // most one structural tree update.
         let mut order: Vec<usize> = (0..ops.len()).collect();
         order.sort_by_key(|&i| ops[i].key());
-        let mut out = Vec::with_capacity(ops.len());
         let mut g = 0;
         while g < order.len() {
             let key = ops[order[g]].key();
@@ -544,7 +547,7 @@ impl DataStructure for AvlDs {
             }
             g = end;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_multi(&self) -> usize {
@@ -683,7 +686,8 @@ mod tests {
             SetOp::Remove(7),
             SetOp::Contains(5),
         ];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         let vals: Vec<bool> = res.iter().map(|&(_, b)| b).collect();
         assert_eq!(vals, vec![true, false, true, true, true, true]);
@@ -720,7 +724,8 @@ mod tests {
                 })
                 .collect();
             let dsa = AvlDs::new(ta, AvlMode::HelpAll);
-            let mut multi = dsa.run_multi(&mut ctx, &ops).unwrap();
+            let mut multi = Vec::new();
+            dsa.run_multi(&mut ctx, &ops, &mut multi).unwrap();
             multi.sort_by_key(|&(i, _)| i);
             // The combined linearization applies ops grouped by key, in
             // batch order within each group. Replay that order on tb.

@@ -258,15 +258,15 @@ impl DataStructure for DequeDs {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[DequeOp],
-    ) -> TxResult<Vec<(usize, Option<u64>)>> {
+        out: &mut Vec<(usize, Option<u64>)>,
+    ) -> TxResult<()> {
         // Same-end elimination: run the batch in order against a local
         // buffer of not-yet-applied pushes for this end; a pop consumes
         // the newest buffered push without touching the structure. The
         // buffered surplus is applied at the end, preserving order.
-        let mut out = Vec::with_capacity(ops.len());
         let end = match ops.first() {
             Some(op) => op.end(),
-            None => return Ok(out),
+            None => return Ok(()),
         };
         let mut buffered: Vec<u64> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -288,7 +288,7 @@ impl DataStructure for DequeDs {
         for v in buffered {
             self.deque.push(ctx, end, v)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -389,7 +389,8 @@ mod tests {
             DequeOp::PopLeft, // empty
             DequeOp::PushLeft(3),
         ];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         let vals: Vec<Option<u64>> = res.iter().map(|&(_, v)| v).collect();
         assert_eq!(
@@ -421,7 +422,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut multi = da.run_multi(&mut ctx, &ops).unwrap();
+            let mut multi = Vec::new();
+            da.run_multi(&mut ctx, &ops, &mut multi).unwrap();
             multi.sort_by_key(|&(i, _)| i);
             let seq: Vec<(usize, Option<u64>)> = ops
                 .iter()

@@ -393,10 +393,10 @@ impl DataStructure for HashTableDs {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[MapOp],
-    ) -> TxResult<Vec<(usize, Option<u64>)>> {
+        out: &mut Vec<(usize, Option<u64>)>,
+    ) -> TxResult<()> {
         // Combine the inserts through insert_n; replay anything else.
         let mut inserts: Vec<(usize, (u64, u64))> = Vec::new();
-        let mut out = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 MapOp::Insert(k, v) => inserts.push((i, (k, v))),
@@ -410,7 +410,7 @@ impl DataStructure for HashTableDs {
                 out.push((i, r));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_multi(&self) -> usize {
@@ -570,7 +570,8 @@ mod tests {
             MapOp::Insert(2, 20),
             MapOp::Insert(1, 11),
         ];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert_eq!(res, vec![(0, None), (1, None), (2, Some(10))]);
         assert_eq!(ds.table().find(&mut ctx, 1).unwrap(), Some(11));
@@ -583,7 +584,8 @@ mod tests {
         let ds = HashTableDs::new(HashTable::create(&mut ctx, 16).unwrap());
         ds.table().insert(&mut ctx, 5, 50).unwrap();
         let ops = [MapOp::Find(5), MapOp::Remove(5), MapOp::Insert(6, 60)];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert_eq!(res, vec![(0, Some(50)), (1, Some(50)), (2, None)]);
     }

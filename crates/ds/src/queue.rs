@@ -264,9 +264,9 @@ impl DataStructure for QueueDs {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[QueueOp],
-    ) -> TxResult<Vec<(usize, Option<u64>)>> {
+        out: &mut Vec<(usize, Option<u64>)>,
+    ) -> TxResult<()> {
         // One array holds only enqueues, the other only dequeues.
-        let mut out = Vec::with_capacity(ops.len());
         match ops.first() {
             Some(QueueOp::Enqueue(_)) => {
                 let values: Vec<u64> = ops
@@ -290,7 +290,7 @@ impl DataStructure for QueueDs {
             }
             None => {}
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_multi(&self) -> usize {
@@ -409,15 +409,23 @@ mod tests {
         assert_eq!(ds.array_of(&QueueOp::Dequeue), ARRAY_DEQUEUE);
         assert_eq!(ds.array_of(&QueueOp::Enqueue(1)), ARRAY_ENQUEUE);
 
-        let mut res = ds
-            .run_multi(&mut ctx, &[QueueOp::Enqueue(7), QueueOp::Enqueue(8)])
-            .unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(
+            &mut ctx,
+            &[QueueOp::Enqueue(7), QueueOp::Enqueue(8)],
+            &mut res,
+        )
+        .unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert_eq!(res, vec![(0, Some(7)), (1, Some(8))]);
 
-        let mut res = ds
-            .run_multi(&mut ctx, &[QueueOp::Dequeue, QueueOp::Dequeue, QueueOp::Dequeue])
-            .unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(
+            &mut ctx,
+            &[QueueOp::Dequeue, QueueOp::Dequeue, QueueOp::Dequeue],
+            &mut res,
+        )
+        .unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert_eq!(res, vec![(0, Some(7)), (1, Some(8)), (2, None)]);
         assert!(ds.queue().check_invariants(&mut ctx).unwrap());

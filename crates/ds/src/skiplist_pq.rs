@@ -146,24 +146,6 @@ impl SkipListPq {
         Ok(Some((key, value)))
     }
 
-    /// Combined removal of up to `n` minima in one traversal (one
-    /// `run_multi` call serves n `RemoveMin`s).
-    ///
-    /// # Errors
-    ///
-    /// Transactional aborts when running speculatively.
-    pub fn remove_min_n(
-        &self,
-        ctx: &mut dyn MemCtx,
-        n: usize,
-    ) -> TxResult<Vec<Option<(u64, u64)>>> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.remove_min(ctx)?);
-        }
-        Ok(out)
-    }
-
     /// The current minimum without removing it.
     ///
     /// # Errors
@@ -320,19 +302,17 @@ impl DataStructure for SkipListPqDs {
         }
     }
 
-    fn run_multi(&self, ctx: &mut dyn MemCtx, ops: &[PqOp]) -> TxResult<Vec<(usize, Option<u64>)>> {
-        // Combine all RemoveMins into one traversal; replay inserts.
-        let mins: Vec<usize> = ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, PqOp::RemoveMin))
-            .map(|(i, _)| i)
-            .collect();
-        let mut out = Vec::with_capacity(ops.len());
-        if !mins.is_empty() {
-            let removed = self.pq.remove_min_n(ctx, mins.len())?;
-            for (&i, r) in mins.iter().zip(removed) {
-                out.push((i, r.map(|(k, _)| k)));
+    fn run_multi(
+        &self,
+        ctx: &mut dyn MemCtx,
+        ops: &[PqOp],
+        out: &mut Vec<(usize, Option<u64>)>,
+    ) -> TxResult<()> {
+        // Combine: one session serves every selected RemoveMin, in
+        // batch order, before the batch's inserts.
+        for (i, op) in ops.iter().enumerate() {
+            if matches!(op, PqOp::RemoveMin) {
+                out.push((i, self.pq.remove_min(ctx)?.map(|(k, _)| k)));
             }
         }
         for (i, op) in ops.iter().enumerate() {
@@ -340,7 +320,7 @@ impl DataStructure for SkipListPqDs {
                 out.push((i, self.pq.insert(ctx, k, v)?.then_some(k)));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_multi(&self) -> usize {
@@ -434,22 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_min_n_equals_n_remove_mins() {
-        let (m, rt) = setup();
-        let mut ctx = DirectCtx::new(&m, &rt);
-        let a = SkipListPq::create(&mut ctx).unwrap();
-        let b = SkipListPq::create(&mut ctx).unwrap();
-        for k in 0..20 {
-            a.insert(&mut ctx, k, k).unwrap();
-            b.insert(&mut ctx, k, k).unwrap();
-        }
-        let multi = a.remove_min_n(&mut ctx, 25).unwrap();
-        let single: Vec<_> = (0..25).map(|_| b.remove_min(&mut ctx).unwrap()).collect();
-        assert_eq!(multi, single);
-        assert_eq!(multi.iter().filter(|r| r.is_some()).count(), 20);
-    }
-
-    #[test]
     fn ds_routes_and_combines() {
         let (m, rt) = setup();
         let mut ctx = DirectCtx::new(&m, &rt);
@@ -459,7 +423,8 @@ mod tests {
         ds.pq().insert(&mut ctx, 1, 10).unwrap();
         ds.pq().insert(&mut ctx, 2, 20).unwrap();
         let ops = [PqOp::RemoveMin, PqOp::RemoveMin, PqOp::RemoveMin];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert_eq!(res, vec![(0, Some(1)), (1, Some(2)), (2, None)]);
     }
@@ -471,7 +436,8 @@ mod tests {
         let ds = SkipListPqDs::new(SkipListPq::create(&mut ctx).unwrap());
         ds.pq().insert(&mut ctx, 5, 50).unwrap();
         let ops = [PqOp::Insert(1, 10), PqOp::RemoveMin];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         // RemoveMin linearizes before the batch's inserts: it takes 5.
         assert_eq!(res, vec![(0, Some(1)), (1, Some(5))]);

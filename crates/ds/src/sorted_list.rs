@@ -143,9 +143,9 @@ impl SortedList {
     }
 
     /// The single-sweep combined application (see the module docs):
-    /// `ops` must be given with their original indices; results are
-    /// returned per index. The chosen linearization is "ascending key
-    /// order, batch order within a key".
+    /// results are pushed onto `out` as `(index into ops, result)`. The
+    /// chosen linearization is "ascending key order, batch order within a
+    /// key".
     ///
     /// # Errors
     ///
@@ -154,10 +154,10 @@ impl SortedList {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[ListOp],
-    ) -> TxResult<Vec<(usize, bool)>> {
+        out: &mut Vec<(usize, bool)>,
+    ) -> TxResult<()> {
         let mut order: Vec<usize> = (0..ops.len()).collect();
         order.sort_by_key(|&i| ops[i].key());
-        let mut out = Vec::with_capacity(ops.len());
 
         // Forward sweep state: `link` is the address of the pointer to
         // `cur`; both only ever move rightward.
@@ -213,7 +213,7 @@ impl SortedList {
             }
             g = end;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -283,8 +283,13 @@ impl DataStructure for SortedListDs {
         }
     }
 
-    fn run_multi(&self, ctx: &mut dyn MemCtx, ops: &[ListOp]) -> TxResult<Vec<(usize, bool)>> {
-        self.list.apply_sweep(ctx, ops)
+    fn run_multi(
+        &self,
+        ctx: &mut dyn MemCtx,
+        ops: &[ListOp],
+        out: &mut Vec<(usize, bool)>,
+    ) -> TxResult<()> {
+        self.list.apply_sweep(ctx, ops, out)
     }
 
     fn max_multi(&self) -> usize {
@@ -360,7 +365,8 @@ mod tests {
             ListOp::Contains(30), // untouched key
             ListOp::Insert(20),   // reinsert after the remove (same key group)
         ];
-        let mut res = l.apply_sweep(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        l.apply_sweep(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         let vals: Vec<bool> = res.iter().map(|&(_, b)| b).collect();
         // Key-20 group in batch order: Remove(20)=true, Insert(20)=true.
@@ -380,7 +386,8 @@ mod tests {
         // Remove consecutive nodes in one sweep (exercises the sweep
         // state after an unlink).
         let ops = [ListOp::Remove(1), ListOp::Remove(2), ListOp::Insert(4)];
-        let mut res = l.apply_sweep(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        l.apply_sweep(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         assert!(res.iter().all(|&(_, b)| b));
         assert_eq!(l.collect(&mut ctx).unwrap(), vec![3, 4]);
@@ -411,7 +418,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut sweep = la.apply_sweep(&mut ctx, &ops).unwrap();
+            let mut sweep = Vec::new();
+            la.apply_sweep(&mut ctx, &ops, &mut sweep).unwrap();
             sweep.sort_by_key(|&(i, _)| i);
             // Reference: replay in (key, batch-order) sequence.
             let mut order: Vec<usize> = (0..ops.len()).collect();
@@ -437,7 +445,9 @@ mod tests {
         let mut ctx = DirectCtx::new(&m, &rt);
         let l = SortedList::create(&mut ctx).unwrap();
         l.insert(&mut ctx, 1).unwrap();
-        assert!(l.apply_sweep(&mut ctx, &[]).unwrap().is_empty());
+        let mut res = Vec::new();
+        l.apply_sweep(&mut ctx, &[], &mut res).unwrap();
+        assert!(res.is_empty());
         assert_eq!(l.collect(&mut ctx).unwrap(), vec![1]);
     }
 }

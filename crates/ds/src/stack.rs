@@ -162,10 +162,10 @@ impl DataStructure for StackDs {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[StackOp],
-    ) -> TxResult<Vec<(usize, Option<u64>)>> {
+        out: &mut Vec<(usize, Option<u64>)>,
+    ) -> TxResult<()> {
         // Same elimination as the deque: pops consume the newest buffered
         // push; only the surplus touches memory.
-        let mut out = Vec::with_capacity(ops.len());
         let mut buffered: Vec<u64> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match *op {
@@ -185,7 +185,7 @@ impl DataStructure for StackDs {
         for v in buffered {
             self.stack.push(ctx, v)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -249,7 +249,8 @@ mod tests {
             StackOp::Pop, // empty
             StackOp::Push(2),
         ];
-        let mut res = ds.run_multi(&mut ctx, &ops).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &ops, &mut res).unwrap();
         res.sort_by_key(|&(i, _)| i);
         let vals: Vec<Option<u64>> = res.iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, vec![Some(1), Some(1), Some(100), None, Some(2)]);
@@ -278,7 +279,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut multi = sa.run_multi(&mut ctx, &ops).unwrap();
+            let mut multi = Vec::new();
+            sa.run_multi(&mut ctx, &ops, &mut multi).unwrap();
             multi.sort_by_key(|&(i, _)| i);
             let seq: Vec<(usize, Option<u64>)> = ops
                 .iter()

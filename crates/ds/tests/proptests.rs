@@ -110,7 +110,8 @@ proptest_lite! {
             })
             .collect();
         let dsa = AvlDs::new(ta, AvlMode::HelpAll);
-        let mut got = dsa.run_multi(&mut ctx, &ops).unwrap();
+        let mut got = Vec::new();
+        dsa.run_multi(&mut ctx, &ops, &mut got).unwrap();
         got.sort_by_key(|&(i, _)| i);
 
         let mut order: Vec<usize> = (0..ops.len()).collect();
@@ -174,7 +175,8 @@ proptest_lite! {
             .collect();
         let dsa = StackDs::new(sa);
         let dsb = StackDs::new(sb);
-        let mut got = dsa.run_multi(&mut ctx, &ops).unwrap();
+        let mut got = Vec::new();
+        dsa.run_multi(&mut ctx, &ops, &mut got).unwrap();
         got.sort_by_key(|&(i, _)| i);
         let want: Vec<(usize, Option<u64>)> = ops
             .iter()
@@ -212,7 +214,8 @@ proptest_lite! {
             .collect();
         let dsa = DequeDs::new(da);
         let dsb = DequeDs::new(db);
-        let mut got = dsa.run_multi(&mut ctx, &ops).unwrap();
+        let mut got = Vec::new();
+        dsa.run_multi(&mut ctx, &ops, &mut got).unwrap();
         got.sort_by_key(|&(i, _)| i);
         let want: Vec<(usize, Option<u64>)> = ops
             .iter()
@@ -312,7 +315,8 @@ proptest_lite! {
                 _ => ListOp::Contains(k),
             })
             .collect();
-        let mut got = la.apply_sweep(&mut ctx, &ops).unwrap();
+        let mut got = Vec::new();
+        la.apply_sweep(&mut ctx, &ops, &mut got).unwrap();
         got.sort_by_key(|&(i, _)| i);
         let mut order: Vec<usize> = (0..ops.len()).collect();
         order.sort_by_key(|&i| ops[i].key());

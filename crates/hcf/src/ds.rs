@@ -57,10 +57,15 @@ pub trait DataStructure: Send + Sync + 'static {
     }
 
     /// Applies several selected operations, combined and/or eliminated
-    /// according to the data structure's semantics. Returns
-    /// `(index into ops, result)` for every operation it applied; it may
-    /// apply only a prefix/subset, in which case the framework calls it
-    /// again with the remainder (possibly in a fresh transaction).
+    /// according to the data structure's semantics. Pushes
+    /// `(index into ops, result)` onto `out` for every operation it
+    /// applied; it may apply only a prefix/subset, in which case the
+    /// framework calls it again with the remainder (possibly in a fresh
+    /// transaction).
+    ///
+    /// The framework passes an empty `out` whose capacity it reuses from
+    /// call to call, so a combiner allocates no result vector. After an
+    /// `Err`, whatever was pushed is discarded.
     ///
     /// The default implementation replays each operation via
     /// [`run_seq`](DataStructure::run_seq) with no combining.
@@ -75,12 +80,12 @@ pub trait DataStructure: Send + Sync + 'static {
         &self,
         ctx: &mut dyn MemCtx,
         ops: &[Self::Op],
-    ) -> TxResult<Vec<(usize, Self::Res)>> {
-        let mut out = Vec::with_capacity(ops.len());
+        out: &mut Vec<(usize, Self::Res)>,
+    ) -> TxResult<()> {
         for (i, op) in ops.iter().enumerate() {
             out.push((i, self.run_seq(ctx, op)?));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Upper bound on how many operations the framework hands to a single
@@ -120,7 +125,8 @@ mod tests {
         let a = mem.alloc_direct(1).unwrap();
         let ds = OneWord { a };
         let mut ctx = hcf_tmem::DirectCtx::new(&mem, &rt);
-        let res = ds.run_multi(&mut ctx, &[1, 2, 3]).unwrap();
+        let mut res = Vec::new();
+        ds.run_multi(&mut ctx, &[1, 2, 3], &mut res).unwrap();
         assert_eq!(res, vec![(0, 1), (1, 3), (2, 6)]);
         assert_eq!(mem.read_direct(&rt, a), 6);
     }

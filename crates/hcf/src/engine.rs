@@ -6,10 +6,11 @@ use std::sync::{Arc, OnceLock};
 
 use hcf_tmem::{AbortCause, DirectCtx, ElidableLock, MemCtx, Runtime, TMem, TxCtx, TxResult};
 
+use crate::arm::{Arm, ArmSelector};
 use crate::ds::DataStructure;
 use crate::policy::{PhasePolicy, SelectPolicy};
 use crate::pubarray::PubArray;
-use crate::record::{OpStatus, PubRecord};
+use crate::record::{Batch, OpStatus, PubRecord};
 use crate::stats::{ExecStats, ExecStatsSnapshot, Phase};
 
 /// Marks a retired batch entry until `retire` compacts it away.
@@ -24,6 +25,10 @@ pub struct HcfConfig {
     default_policy: PhasePolicy,
     overrides: Vec<(usize, PhasePolicy)>,
     name: &'static str,
+    /// Whether the engine may switch to its FC arm (see [`crate::arm`]).
+    /// Off for the FC and TLE+FC baselines, which must stay what their
+    /// names say.
+    select_arm: bool,
 }
 
 impl HcfConfig {
@@ -34,6 +39,7 @@ impl HcfConfig {
             default_policy: PhasePolicy::hcf_default(),
             overrides: Vec::new(),
             name: "HCF",
+            select_arm: true,
         }
     }
 
@@ -44,6 +50,7 @@ impl HcfConfig {
             default_policy: PhasePolicy::fc_like(),
             overrides: Vec::new(),
             name: "FC",
+            select_arm: false,
         }
     }
 
@@ -54,6 +61,7 @@ impl HcfConfig {
             default_policy: PhasePolicy::tle_fc_like(attempts),
             overrides: Vec::new(),
             name: "TLE+FC",
+            select_arm: false,
         }
     }
 
@@ -97,7 +105,11 @@ pub struct HcfEngine<D: DataStructure> {
     arrays: Vec<PubArray>,
     /// Packed [`PhasePolicy`] per array; mutable at run time (§2.4: "the
     /// customization may be dynamic") — see [`HcfEngine::set_policy`].
+    /// These are the configured arm's policies.
     policies: Vec<AtomicU64>,
+    /// Chooses between the configured policies and FC by measured cost;
+    /// `None` on a simulated runtime and for the FC/TLE+FC baselines.
+    selector: Option<ArmSelector>,
     /// `recs[t]` is thread `t`'s publication record (§2.2), created at its
     /// first announcement (so kv shards, which finish every op in
     /// TryPrivate, allocate none) and reused for every later one. Slots
@@ -144,6 +156,7 @@ impl<D: DataStructure> HcfEngine<D> {
         // transactions subscribe to it, which the sanitizer verifies.
         #[cfg(feature = "txsan")]
         lock.mark_fallback();
+        let selector = (config.select_arm && !rt.is_simulated()).then(ArmSelector::default);
         let mut arrays = Vec::with_capacity(n);
         let mut policies = Vec::with_capacity(n);
         for a in 0..n {
@@ -157,6 +170,7 @@ impl<D: DataStructure> HcfEngine<D> {
             lock,
             arrays,
             policies,
+            selector,
             recs: (0..config.max_threads).map(|_| OnceLock::new()).collect(),
             stats: ExecStats::new(n),
             name: config.name,
@@ -176,18 +190,29 @@ impl<D: DataStructure> HcfEngine<D> {
 
     /// Framework statistics accumulated so far.
     pub fn stats(&self) -> ExecStatsSnapshot {
-        self.stats.snapshot()
+        let mut s = self.stats.snapshot();
+        if let Some(sel) = &self.selector {
+            s.arm = sel.stats();
+        }
+        s
     }
 
-    /// The policy currently in force for array `aid`.
+    /// The configured policy for array `aid`: the one in force while
+    /// [`HcfEngine::arm`] is [`Arm::Configured`].
     pub fn policy(&self, aid: usize) -> PhasePolicy {
         PhasePolicy::unpack(self.policies[aid].load(Ordering::Relaxed))
     }
 
-    /// Replaces array `aid`'s policy at run time. Operations already in
-    /// flight finish under the policy they started with; correctness is
-    /// unaffected either way (§2.2: configuration "cannot affect the
-    /// correctness, but only the performance").
+    /// The arm in force (see [`crate::arm`]); always
+    /// [`Arm::Configured`] when the engine runs no selector.
+    pub fn arm(&self) -> Arm {
+        self.selector.as_ref().map_or(Arm::Configured, ArmSelector::arm)
+    }
+
+    /// Replaces array `aid`'s configured policy at run time. Operations
+    /// already in flight finish under the policy they started with;
+    /// correctness is unaffected either way (§2.2: configuration "cannot
+    /// affect the correctness, but only the performance").
     pub fn set_policy(&self, aid: usize, p: PhasePolicy) {
         self.policies[aid].store(p.pack(), Ordering::Relaxed);
     }
@@ -201,6 +226,22 @@ impl<D: DataStructure> HcfEngine<D> {
     /// acting as) a combiner. Linearizes between invocation and return
     /// (§2.3).
     pub fn execute(&self, op: D::Op) -> D::Res {
+        let Some(sel) = &self.selector else {
+            return self.run(op, Arm::Configured);
+        };
+        let arm = sel.arm();
+        if !ArmSelector::sample_this_op() {
+            return self.run(op, arm);
+        }
+        let start = self.rt.now();
+        let res = self.run(op, arm);
+        let ns = self.rt.now().saturating_sub(start);
+        sel.record(arm, ns, || self.stats.private_and_total());
+        res
+    }
+
+    /// `execute` under the policies of `arm`.
+    fn run(&self, op: D::Op, arm: Arm) -> D::Res {
         let tid = self.rt.thread_id();
         assert!(
             tid < self.max_threads,
@@ -208,7 +249,10 @@ impl<D: DataStructure> HcfEngine<D> {
             self.max_threads
         );
         let aid = self.ds.array_of(&op);
-        let pol = self.policy(aid);
+        let pol = match arm {
+            Arm::Configured => self.policy(aid),
+            Arm::Fc => PhasePolicy::fc_like(),
+        };
 
         // Phase 1: TryPrivate.
         if let Some(res) = self.try_private(&op, aid, &pol) {
@@ -332,7 +376,7 @@ impl<D: DataStructure> HcfEngine<D> {
         // The buffers leave the record for the session, so no mutex is
         // held across a TMem access.
         let mut batch = std::mem::take(&mut *rec.batch.lock());
-        let (tids, ops) = &mut batch;
+        let Batch { tids, ops, results } = &mut batch;
         self.choose_ops_to_help(op, tid, aid, pol, tids, ops);
         if !pol.specialized {
             pa.selection.unlock(rt);
@@ -344,8 +388,9 @@ impl<D: DataStructure> HcfEngine<D> {
         while !tids.is_empty() && attempts < pol.try_combining {
             attempts += 1;
             let chunk = tids.len().min(self.ds.max_multi().max(1));
-            match self.attempt(aid, |ctx| self.ds.run_multi(ctx, &ops[..chunk])) {
-                Ok(results) => self.retire(aid, chunk, tids, ops, results, Phase::Combining),
+            results.clear();
+            match self.attempt(aid, |ctx| self.ds.run_multi(ctx, &ops[..chunk], results)) {
+                Ok(()) => self.retire(aid, chunk, tids, ops, results, Phase::Combining),
                 Err(c) if !c.is_transient() => break,
                 Err(_) => rt.backoff(attempts),
             }
@@ -358,9 +403,9 @@ impl<D: DataStructure> HcfEngine<D> {
             while !tids.is_empty() {
                 let chunk = tids.len().min(self.ds.max_multi().max(1));
                 let mut ctx = DirectCtx::new(&self.mem, rt);
-                let results = self
-                    .ds
-                    .run_multi(&mut ctx, &ops[..chunk])
+                results.clear();
+                self.ds
+                    .run_multi(&mut ctx, &ops[..chunk], results)
                     .expect("run_multi cannot abort under the lock");
                 assert!(
                     !results.is_empty(),
@@ -441,10 +486,10 @@ impl<D: DataStructure> HcfEngine<D> {
         chunk: usize,
         tids: &mut Vec<usize>,
         ops: &mut Vec<D::Op>,
-        results: Vec<(usize, D::Res)>,
+        results: &mut Vec<(usize, D::Res)>,
         phase: Phase,
     ) {
-        for (i, res) in results {
+        for (i, res) in results.drain(..) {
             debug_assert!(i < chunk, "run_multi returned an index outside the chunk");
             debug_assert_ne!(tids[i], RETIRED, "run_multi returned a duplicate index");
             // Our last touch of record `tids[i]`: it publishes `Done`.

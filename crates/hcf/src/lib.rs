@@ -75,6 +75,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
+pub mod arm;
 pub mod baselines;
 pub mod ds;
 pub mod engine;
@@ -85,6 +86,7 @@ pub mod record;
 pub mod stats;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveEngine};
+pub use arm::{Arm, ArmStats};
 pub use baselines::{LockExecutor, ScmExecutor, TleExecutor};
 pub use ds::DataStructure;
 pub use engine::{HcfConfig, HcfEngine};

@@ -50,13 +50,31 @@ pub struct PubRecord<Op, Res> {
     status: AtomicU8,
     op: Mutex<Option<Op>>,
     result: Mutex<Option<Res>>,
-    /// The owner's combining buffers (selected thread ids and their ops),
-    /// kept so their capacity is reused. Only the owner touches them.
-    pub(crate) batch: Mutex<(Vec<usize>, Vec<Op>)>,
+    /// The owner's combining buffers, kept so their capacity is reused.
+    /// Only the owner touches them.
+    pub(crate) batch: Mutex<Batch<Op, Res>>,
     /// Sanitizer identity of the record's current use (see
     /// `hcf_tmem::san`); every [`PubRecord::announce`] takes a fresh one.
     #[cfg(feature = "txsan")]
     san_id: AtomicU64,
+}
+
+/// A combiner's working set: the selected thread ids, their ops, and the
+/// results of the last `run_multi` call.
+pub(crate) struct Batch<Op, Res> {
+    pub(crate) tids: Vec<usize>,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) results: Vec<(usize, Res)>,
+}
+
+impl<Op, Res> Default for Batch<Op, Res> {
+    fn default() -> Self {
+        Batch {
+            tids: Vec::new(),
+            ops: Vec::new(),
+            results: Vec::new(),
+        }
+    }
 }
 
 impl<Op, Res> Default for PubRecord<Op, Res> {
@@ -66,7 +84,7 @@ impl<Op, Res> Default for PubRecord<Op, Res> {
             status: AtomicU8::new(OpStatus::Unannounced as u8),
             op: Mutex::new(None),
             result: Mutex::new(None),
-            batch: Mutex::new((Vec::new(), Vec::new())),
+            batch: Mutex::new(Batch::default()),
             #[cfg(feature = "txsan")]
             san_id: AtomicU64::new(hcf_tmem::san::fresh_id()),
         }

@@ -5,6 +5,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::arm::ArmStats;
+
 /// The phase in which an operation ultimately completed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -116,6 +118,16 @@ impl ExecStats {
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Operations completed in TryPrivate, and in total, across arrays.
+    pub(crate) fn private_and_total(&self) -> (u64, u64) {
+        self.arrays.iter().fold((0, 0), |(p, t), a| {
+            let c = &a.completed;
+            let private = c[Phase::Private as usize].load(Ordering::Relaxed);
+            let all: u64 = c.iter().map(|x| x.load(Ordering::Relaxed)).sum();
+            (p + private, t + all)
+        })
+    }
+
     /// Snapshot of all counters.
     ///
     /// Memory-ordering note: every counter is an independent monotonic
@@ -150,6 +162,7 @@ impl ExecStats {
             htm_conflicts: self.htm_conflicts.load(Ordering::Relaxed),
             htm_capacity: self.htm_capacity.load(Ordering::Relaxed),
             htm_explicit: self.htm_explicit.load(Ordering::Relaxed),
+            arm: ArmStats::default(),
         }
     }
 }
@@ -248,6 +261,8 @@ pub struct ExecStatsSnapshot {
     pub htm_capacity: u64,
     /// Aborts: explicit (lock subscription, status changes).
     pub htm_explicit: u64,
+    /// The HCF engine's arm selector (default: not selecting).
+    pub arm: ArmStats,
 }
 
 impl ExecStatsSnapshot {
@@ -300,7 +315,7 @@ impl ExecStatsSnapshot {
                 "{{\"total_ops\":{},\"lock_acqs\":{},\"htm_attempts\":{},",
                 "\"htm_commits\":{},\"htm_conflicts\":{},\"htm_capacity\":{},",
                 "\"htm_explicit\":{},\"abort_rate\":{:.6},\"avg_degree\":{:.4},",
-                "\"arrays\":[{}]}}"
+                "\"arm\":{},\"arrays\":[{}]}}"
             ),
             self.total_ops(),
             self.lock_acqs,
@@ -311,6 +326,7 @@ impl ExecStatsSnapshot {
             self.htm_explicit,
             self.abort_rate(),
             self.avg_degree(),
+            self.arm.to_json(),
             arrays.join(","),
         )
     }
@@ -395,6 +411,7 @@ mod tests {
             "\"sessions\":1",
             "\"avg_degree\":3.0",
             "\"degree_hist\":",
+            "\"arm\":{\"selecting\":false,\"in_force\":\"configured\"",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }

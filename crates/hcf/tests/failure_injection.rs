@@ -98,11 +98,17 @@ impl DataStructure for OneAtATime {
         Ok(v + op)
     }
 
-    fn run_multi(&self, ctx: &mut dyn MemCtx, ops: &[u64]) -> TxResult<Vec<(usize, u64)>> {
+    fn run_multi(
+        &self,
+        ctx: &mut dyn MemCtx,
+        ops: &[u64],
+        out: &mut Vec<(usize, u64)>,
+    ) -> TxResult<()> {
         // Deliberately ignore all but the *last* op in the chunk (also
         // exercises non-zero indices).
         let i = ops.len() - 1;
-        Ok(vec![(i, self.run_seq(ctx, &ops[i])?)])
+        out.push((i, self.run_seq(ctx, &ops[i])?));
+        Ok(())
     }
 }
 

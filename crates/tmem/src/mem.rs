@@ -37,21 +37,39 @@ use crate::runtime::{AccessKind, Runtime};
 use crate::stats::{TxStats, TxStatsSnapshot};
 use crate::txn::Txn;
 
+/// Words between neighbouring orecs: 16 × 8 bytes keeps every orec alone
+/// in its 128-byte span (two cache lines, so the adjacent-line prefetcher
+/// does not pair two orecs either).
+const OREC_STRIDE: usize = 16;
+
+/// `n` zeroed atomics. `vec![0; n]` takes the allocator's zeroed path
+/// (fresh pages for a large `n`), and the map to `AtomicU64` is an
+/// in-place no-op, so no page is written here.
+fn zeroed_atomics(n: usize) -> Box<[AtomicU64]> {
+    vec![0u64; n].into_iter().map(AtomicU64::new).collect()
+}
+
 /// A word-addressable transactional memory with line-granularity conflict
 /// detection. See the [crate docs](crate) for the overall model.
 ///
 /// All state lives in pre-sized arrays of atomics, so the structure is
 /// `Send + Sync` and fully safe Rust. The global metadata words (clock,
-/// write-back window counter) and each orec are [`CachePadded`]: orecs
-/// are the single most contended array in the system — every
-/// transactional access touches one — and without padding sixteen
-/// *logically disjoint* orecs share each physical cache line, so
-/// transactions on disjoint data still ping-pong metadata lines.
+/// write-back window counter) are [`CachePadded`], and each orec owns a
+/// 128-byte span of its array (`OREC_STRIDE` words): orecs are the
+/// single most contended array in the system — every transactional
+/// access touches one — and without padding sixteen *logically disjoint*
+/// orecs share each physical cache line, so transactions on disjoint
+/// data still ping-pong metadata lines.
+///
+/// Both arrays come from the zeroed allocator and are never written at
+/// construction, so their pages fault in only when first touched: a
+/// fresh `TMem` costs address space, not resident memory or set-up time.
 pub struct TMem {
     cfg: TMemConfig,
     words: Box<[AtomicU64]>,
-    /// One ownership record per line, each owning a real cache line.
-    orecs: Box<[CachePadded<AtomicU64>]>,
+    /// One ownership record per line, at index `line * OREC_STRIDE`; the
+    /// words in between are never used.
+    orecs: Box<[AtomicU64]>,
     /// TL2 global version clock. Padded: every writer commit
     /// writes it, and nothing else may share its line.
     clock: CachePadded<AtomicU64>,
@@ -66,10 +84,8 @@ pub struct TMem {
 impl TMem {
     /// Creates a memory per `cfg`, zero-initialized.
     pub fn new(cfg: TMemConfig) -> Self {
-        let words = (0..cfg.words).map(|_| AtomicU64::new(0)).collect();
-        let orecs = (0..cfg.lines())
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect();
+        let words = zeroed_atomics(cfg.words);
+        let orecs = zeroed_atomics(cfg.lines() * OREC_STRIDE);
         let alloc = Allocator::new(cfg.words);
         TMem {
             cfg,
@@ -120,7 +136,7 @@ impl TMem {
 
     #[inline]
     pub(crate) fn orec(&self, line: usize) -> &AtomicU64 {
-        &self.orecs[line]
+        &self.orecs[line * OREC_STRIDE]
     }
 
     pub(crate) fn stats_ref(&self) -> &TxStats {
@@ -414,6 +430,26 @@ mod tests {
 
     fn setup() -> (TMem, RealRuntime) {
         (TMem::new(TMemConfig::small_word_granular()), RealRuntime::new())
+    }
+
+    #[test]
+    fn orecs_are_128_bytes_apart_and_fresh_memory_reads_zero() {
+        let m = TMem::new(TMemConfig::default());
+        let rt = RealRuntime::new();
+        let at = |line: usize| m.orec(line) as *const AtomicU64 as usize;
+        for line in [0, 1, m.config().lines() / 2, m.config().lines() - 2] {
+            assert!(
+                at(line + 1) - at(line) >= 128,
+                "orecs {line} and {} share a span",
+                line + 1
+            );
+        }
+        for line in [0, m.config().lines() - 1] {
+            assert_eq!(m.orec(line).load(Ordering::Relaxed), OrecValue::ZERO.raw());
+        }
+        for w in [0, m.config().words / 2, m.config().words - 1] {
+            assert_eq!(m.read_direct(&rt, Addr(w as u64)), 0);
+        }
     }
 
     #[test]
