@@ -42,8 +42,9 @@ fn point(threads: usize, mode: Mode, find_pct: u32) -> hcf_sim::RunResult {
         move |ds, mem, rt, threads, tuned_cfg| {
             let hcf_cfg = match mode {
                 Mode::Tuned => tuned_cfg,
-                Mode::Misconfigured | Mode::Adaptive => hcf_core::HcfConfig::new(threads)
-                    .with_default_policy(PhasePolicy::tle_like(10)),
+                Mode::Misconfigured | Mode::Adaptive => {
+                    hcf_core::HcfConfig::new(threads).with_default_policy(PhasePolicy::tle_like(10))
+                }
             };
             let engine = Arc::new(HcfEngine::new(ds, mem, rt, hcf_cfg).expect("engine"));
             match mode {
@@ -66,7 +67,10 @@ fn point(threads: usize, mode: Mode, find_pct: u32) -> hcf_sim::RunResult {
 /// the misconfigured engine.
 fn timeline(threads: usize, find_pct: u32, csv: &mut Csv) {
     const BUCKET: u64 = 100_000;
-    for (label, mode) in [("HCF-miscfg", Mode::Misconfigured), ("HCF-adaptive", Mode::Adaptive)] {
+    for (label, mode) in [
+        ("HCF-miscfg", Mode::Misconfigured),
+        ("HCF-adaptive", Mode::Adaptive),
+    ] {
         let cfg = sim_config(threads);
         let w = SetWorkload::new(hcf_bench::AVL_KEY_RANGE, hcf_bench::AVL_THETA, find_pct);
         let (_r, buckets) = run_timeline(
@@ -74,8 +78,8 @@ fn timeline(threads: usize, find_pct: u32, csv: &mut Csv) {
             Variant::Hcf,
             |ctx, th| build_avl(ctx, th, AvlMode::Selective),
             move |ds, mem, rt, th, _tuned| {
-                let hcf_cfg = hcf_core::HcfConfig::new(th)
-                    .with_default_policy(PhasePolicy::tle_like(10));
+                let hcf_cfg =
+                    hcf_core::HcfConfig::new(th).with_default_policy(PhasePolicy::tle_like(10));
                 let engine = Arc::new(HcfEngine::new(ds, mem, rt, hcf_cfg).expect("engine"));
                 match mode {
                     Mode::Adaptive => Arc::new(AdaptiveEngine::new(
@@ -125,6 +129,10 @@ fn main() {
         }
     }
     // Within-run convergence at a representative contended point.
-    let t = sweep.iter().copied().find(|&t| t >= 18).unwrap_or(*sweep.last().unwrap());
+    let t = sweep
+        .iter()
+        .copied()
+        .find(|&t| t >= 18)
+        .unwrap_or(*sweep.last().unwrap());
     timeline(t, 40, &mut csv);
 }

@@ -2,7 +2,9 @@
 //! specialized combiners. Opposite ends proceed independently; same-end
 //! operations combine and eliminate.
 
-use hcf_bench::{deque_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER};
+use hcf_bench::{
+    deque_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER,
+};
 use hcf_core::Variant;
 
 fn main() {

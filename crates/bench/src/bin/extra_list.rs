@@ -6,7 +6,9 @@
 //! the lock) dominate, with HCF ahead while its private phase still
 //! wins some read parallelism.
 
-use hcf_bench::{list_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER};
+use hcf_bench::{
+    list_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER,
+};
 use hcf_core::Variant;
 
 fn main() {

@@ -4,12 +4,17 @@
 //!
 //! Usage: `extra_pq [insert_pct ...]` (default `50 80`).
 
-use hcf_bench::{pq_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER};
+use hcf_bench::{
+    pq_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER,
+};
 use hcf_core::Variant;
 
 fn main() {
     let pcts: Vec<u32> = {
-        let args: Vec<u32> = std::env::args().skip(1).filter_map(|a| a.parse().ok()).collect();
+        let args: Vec<u32> = std::env::args()
+            .skip(1)
+            .filter_map(|a| a.parse().ok())
+            .collect();
         if args.is_empty() {
             vec![50, 80]
         } else {

@@ -4,7 +4,9 @@
 //! unlike the stack — HCF's two concurrent combiners have real
 //! parallelism to exploit over single-lock FC.
 
-use hcf_bench::{queue_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER};
+use hcf_bench::{
+    queue_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER,
+};
 use hcf_core::Variant;
 
 fn main() {

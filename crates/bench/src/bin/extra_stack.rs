@@ -4,7 +4,9 @@
 //! matches (typically beats) TLE and is competitive with HCF, whose HTM
 //! attempts are mostly wasted here.
 
-use hcf_bench::{stack_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER};
+use hcf_bench::{
+    stack_point, thread_sweep, throughput_row, Csv, SINGLE_SOCKET_THREADS, THROUGHPUT_HEADER,
+};
 use hcf_core::Variant;
 
 fn main() {

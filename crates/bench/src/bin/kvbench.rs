@@ -156,7 +156,9 @@ fn measure(point: Point, reqs_per_client: u64, server_cfg: &KvConfig) -> Measure
     let mut busy = 0u64;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..point.clients)
-            .map(|tid| s.spawn(move || run_client(addr, point, tid as u64, reqs_per_client, started)))
+            .map(|tid| {
+                s.spawn(move || run_client(addr, point, tid as u64, reqs_per_client, started))
+            })
             .collect();
         for h in handles {
             let (lat, b) = h.join().expect("client thread");
@@ -292,8 +294,17 @@ fn main() {
 
     println!(
         "{:<7} {:<8} {:>5} {:>8} {:>9} {:>12} {:>9} {:>9} {:>9} {:>10} {:>9}",
-        "mode", "dist", "read%", "clients", "reqs", "reqs/sec", "p50_us", "p90_us", "p99_us",
-        "avg_batch", "max_batch"
+        "mode",
+        "dist",
+        "read%",
+        "clients",
+        "reqs",
+        "reqs/sec",
+        "p50_us",
+        "p90_us",
+        "p99_us",
+        "avg_batch",
+        "max_batch"
     );
     let mut rows = Vec::new();
     for point in points {

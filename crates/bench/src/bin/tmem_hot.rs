@@ -94,10 +94,7 @@ fn run_point(
     threads: usize,
     per_thread: u64,
     mem: Arc<TMem>,
-    body: impl Fn(usize, u64, &mut hcf_tmem::Txn<'_>) -> Result<(), AbortCause>
-        + Send
-        + Sync
-        + 'static,
+    body: impl Fn(usize, u64, &mut hcf_tmem::Txn<'_>) -> Result<(), AbortCause> + Send + Sync + 'static,
 ) -> Point {
     let rt = Arc::new(RealRuntime::new());
     let body = Arc::new(body);
@@ -161,26 +158,38 @@ fn ro_point(threads: usize, per_thread: u64) -> Point {
 
 fn wr_disjoint_point(threads: usize, per_thread: u64) -> Point {
     let (mem, regions) = mem_for(threads);
-    run_point("wr-disjoint", threads, per_thread, mem, move |tid, i, tx| {
-        let base = regions[tid];
-        for k in 0..WR_READS {
-            tx.read(base + (i.wrapping_mul(7) + k * 9) % REGION_WORDS)?;
-        }
-        for k in 0..WR_WRITES {
-            let a = base + (i.wrapping_mul(13) + k * 9) % REGION_WORDS;
-            tx.write(a, i ^ k)?;
-        }
-        Ok(())
-    })
+    run_point(
+        "wr-disjoint",
+        threads,
+        per_thread,
+        mem,
+        move |tid, i, tx| {
+            let base = regions[tid];
+            for k in 0..WR_READS {
+                tx.read(base + (i.wrapping_mul(7) + k * 9) % REGION_WORDS)?;
+            }
+            for k in 0..WR_WRITES {
+                let a = base + (i.wrapping_mul(13) + k * 9) % REGION_WORDS;
+                tx.write(a, i ^ k)?;
+            }
+            Ok(())
+        },
+    )
 }
 
 fn wr_contended_point(threads: usize, per_thread: u64) -> Point {
     let (mem, _) = mem_for(threads);
     let counter = mem.alloc_direct(1).expect("pool");
-    let p = run_point("wr-contended", threads, per_thread, Arc::clone(&mem), move |_tid, _i, tx| {
-        let v = tx.read(counter)?;
-        tx.write(counter, v + 1)
-    });
+    let p = run_point(
+        "wr-contended",
+        threads,
+        per_thread,
+        Arc::clone(&mem),
+        move |_tid, _i, tx| {
+            let v = tx.read(counter)?;
+            tx.write(counter, v + 1)
+        },
+    );
     let rt = RealRuntime::new();
     assert_eq!(
         mem.read_direct(&rt, counter),
@@ -213,8 +222,14 @@ fn json_row(p: &Point) -> String {
             "{{\"scenario\":\"{}\",\"threads\":{},\"txs\":{},\"commits\":{},",
             "\"aborts\":{},\"elapsed_ns\":{},\"tx_per_sec\":{:.2},\"ns_per_tx\":{:.1}}}"
         ),
-        p.scenario, p.threads, p.txs, p.commits, p.aborts, p.elapsed_ns,
-        p.tx_per_sec(), p.ns_per_tx(),
+        p.scenario,
+        p.threads,
+        p.txs,
+        p.commits,
+        p.aborts,
+        p.elapsed_ns,
+        p.tx_per_sec(),
+        p.ns_per_tx(),
     )
 }
 

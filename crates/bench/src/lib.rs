@@ -115,10 +115,7 @@ pub const HASH_KEY_RANGE: u64 = 16 * 1024;
 /// # Errors
 ///
 /// Propagates pool exhaustion.
-pub fn build_hash(
-    ctx: &mut dyn MemCtx,
-    threads: usize,
-) -> TxResult<(Arc<HashTableDs>, HcfConfig)> {
+pub fn build_hash(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<HashTableDs>, HcfConfig)> {
     let t = HashTable::create(ctx, HASH_KEY_RANGE)?;
     let mut rng = StdRng::seed_from_u64(seed() ^ 0xF00D);
     let mut inserted = 0;
@@ -194,12 +191,7 @@ pub fn avl_point(threads: usize, variant: Variant, find_pct: u32) -> RunResult {
 }
 
 /// Runs one AVL point with an explicit combining mode (ablations).
-pub fn avl_point_mode(
-    threads: usize,
-    variant: Variant,
-    find_pct: u32,
-    mode: AvlMode,
-) -> RunResult {
+pub fn avl_point_mode(threads: usize, variant: Variant, find_pct: u32, mode: AvlMode) -> RunResult {
     let cfg = sim_config(threads);
     let w = SetWorkload::new(AVL_KEY_RANGE, AVL_THETA, find_pct);
     run(
@@ -219,10 +211,7 @@ pub fn avl_point_mode(
 /// # Errors
 ///
 /// Propagates pool exhaustion.
-pub fn build_pq(
-    ctx: &mut dyn MemCtx,
-    threads: usize,
-) -> TxResult<(Arc<SkipListPqDs>, HcfConfig)> {
+pub fn build_pq(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<SkipListPqDs>, HcfConfig)> {
     let pq = SkipListPq::create(ctx)?;
     let mut rng = StdRng::seed_from_u64(seed() ^ 0xACE);
     let mut inserted = 0;
@@ -354,7 +343,10 @@ use hcf_sim::workload::ListWorkload;
 /// # Errors
 ///
 /// Propagates pool exhaustion.
-pub fn build_list(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<SortedListDs>, HcfConfig)> {
+pub fn build_list(
+    ctx: &mut dyn MemCtx,
+    threads: usize,
+) -> TxResult<(Arc<SortedListDs>, HcfConfig)> {
     let l = SortedList::create(ctx)?;
     let mut rng = StdRng::seed_from_u64(seed() ^ 0x1157);
     let mut n = 0;
@@ -363,7 +355,10 @@ pub fn build_list(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<SortedL
             n += 1;
         }
     }
-    Ok((Arc::new(SortedListDs::new(l)), SortedListDs::hcf_config(threads)))
+    Ok((
+        Arc::new(SortedListDs::new(l)),
+        SortedListDs::hcf_config(threads),
+    ))
 }
 
 /// Runs one sorted-list point.

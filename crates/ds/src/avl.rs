@@ -167,11 +167,7 @@ impl AvlTree {
     /// Walks the recorded path bottom-up fixing heights and rebalancing.
     /// Stops early once a subtree's height is unchanged and it is
     /// balanced — ancestors cannot be affected past that point.
-    fn repair_path(
-        &self,
-        ctx: &mut dyn MemCtx,
-        path: &mut Vec<(Addr, bool)>,
-    ) -> TxResult<()> {
+    fn repair_path(&self, ctx: &mut dyn MemCtx, path: &mut Vec<(Addr, bool)>) -> TxResult<()> {
         while let Some((node, _)) = path.pop() {
             let before = ctx.read(node + F_HEIGHT)?;
             let after = self.fix_height(ctx, node)?;

@@ -275,13 +275,7 @@ impl HashTable {
         Ok(count == self.len(ctx)?)
     }
 
-    fn new_node(
-        &self,
-        ctx: &mut dyn MemCtx,
-        key: u64,
-        value: u64,
-        bucket: Addr,
-    ) -> TxResult<Addr> {
+    fn new_node(&self, ctx: &mut dyn MemCtx, key: u64, value: u64, bucket: Addr) -> TxResult<Addr> {
         let node = ctx.alloc(NODE_WORDS)?;
         ctx.write(node + F_KEY, key)?;
         ctx.write(node + F_VAL, value)?;
@@ -304,7 +298,6 @@ impl HashTable {
         }
         Ok(())
     }
-
 }
 
 /// Map operations, with the array split used by the §3.3 experiment.
@@ -471,7 +464,12 @@ mod tests {
         t.insert(&mut ctx, 1, 1).unwrap();
         t.insert(&mut ctx, 2, 2).unwrap();
         t.insert(&mut ctx, 3, 3).unwrap();
-        let keys: Vec<u64> = t.collect(&mut ctx).unwrap().iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = t
+            .collect(&mut ctx)
+            .unwrap()
+            .iter()
+            .map(|&(k, _)| k)
+            .collect();
         assert_eq!(keys, vec![3, 2, 1]);
     }
 
@@ -484,7 +482,12 @@ mod tests {
             t.insert(&mut ctx, k, k).unwrap();
         }
         t.remove(&mut ctx, 2).unwrap();
-        let keys: Vec<u64> = t.collect(&mut ctx).unwrap().iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = t
+            .collect(&mut ctx)
+            .unwrap()
+            .iter()
+            .map(|&(k, _)| k)
+            .collect();
         assert_eq!(keys, vec![3, 1]);
         assert!(t.check_invariants(&mut ctx).unwrap());
     }

@@ -259,15 +259,13 @@ impl SortedListDs {
     /// for operations near the head and at low thread counts), then
     /// combining — the sweep amortizes the traversal.
     pub fn hcf_config(max_threads: usize) -> HcfConfig {
-        HcfConfig::new(max_threads).with_default_policy(
-            PhasePolicy {
-                try_private: 2,
-                try_visible: 1,
-                try_combining: 5,
-                select: SelectPolicy::All,
-                specialized: true,
-            },
-        )
+        HcfConfig::new(max_threads).with_default_policy(PhasePolicy {
+            try_private: 2,
+            try_visible: 1,
+            try_combining: 5,
+            select: SelectPolicy::All,
+            specialized: true,
+        })
     }
 }
 

@@ -87,7 +87,9 @@ pub struct AdaptiveEngine<D: DataStructure> {
 impl<D: DataStructure> AdaptiveEngine<D> {
     /// Wraps `engine` with the given controller configuration.
     pub fn new(engine: Arc<HcfEngine<D>>, cfg: AdaptiveConfig) -> Self {
-        let ctl = (0..engine.num_arrays()).map(|_| ArrayCtl::default()).collect();
+        let ctl = (0..engine.num_arrays())
+            .map(|_| ArrayCtl::default())
+            .collect();
         AdaptiveEngine { engine, cfg, ctl }
     }
 
@@ -261,15 +263,15 @@ mod tests {
     #[test]
     fn high_abort_shifts_budget_toward_combining() {
         // Start TLE-like; a synthetic high-abort epoch must move budget.
-        let (_m, _rt, eng) = setup(
-            HcfConfig::new(2).with_default_policy(crate::policy::PhasePolicy {
+        let (_m, _rt, eng) = setup(HcfConfig::new(2).with_default_policy(
+            crate::policy::PhasePolicy {
                 try_private: 4,
                 try_visible: 1,
                 try_combining: 2,
                 select: SelectPolicy::All,
                 specialized: false,
-            }),
-        );
+            },
+        ));
         // Seed fake epoch deltas: pretend everything aborted.
         // (Run real single-threaded ops to move `total()` past the epoch,
         // then check the controller saw commits ≈ attempts and did NOT

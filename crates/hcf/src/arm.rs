@@ -179,7 +179,10 @@ impl Schedule {
             self.since_probe = 0;
             // The probed arm takes over only if clearly cheaper: a mean
             // over one epoch is noisy, and a flip costs probes.
-            let (probed, incumbent) = (self.last_ns[ran as usize], self.last_ns[self.winner as usize]);
+            let (probed, incumbent) = (
+                self.last_ns[ran as usize],
+                self.last_ns[self.winner as usize],
+            );
             let cheaper = if probed + probed / FLIP_MARGIN < incumbent {
                 ran
             } else {
@@ -247,9 +250,10 @@ impl ArmSelector {
         if self.arm() != ran {
             return;
         }
-        let prev = self
-            .acc
-            .fetch_add((1 << COUNT_SHIFT) | ns.min(MAX_SAMPLE_NS), Ordering::Relaxed);
+        let prev = self.acc.fetch_add(
+            (1 << COUNT_SHIFT) | ns.min(MAX_SAMPLE_NS),
+            Ordering::Relaxed,
+        );
         if prev >> COUNT_SHIFT == EPOCH_SAMPLES - 1 {
             self.close(ran, completed());
         }
@@ -354,7 +358,11 @@ mod tests {
             seen.push(arm);
             // FC is cheaper for the first 12 epochs, then dearer. The
             // next probe (epoch 18) flips the winner and resets the gap.
-            let cost = if epoch < 12 { [1800, 1000] } else { [1000, 2000] };
+            let cost = if epoch < 12 {
+                [1800, 1000]
+            } else {
+                [1000, 2000]
+            };
             arm = s.close(arm, cost[arm as usize], 0.5);
         }
         assert_eq!(seen, arms("C F FF C FFFF C FFFFFFFF C CC F CCCC F CCC"));

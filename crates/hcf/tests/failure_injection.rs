@@ -55,9 +55,7 @@ fn capacity_aborts_fall_through_to_the_lock() {
         invocations: AtomicU64::new(1), // avoid failing the very first op
         fail_every: 3,
     });
-    let engine = Arc::new(
-        HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(5)).unwrap(),
-    );
+    let engine = Arc::new(HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(5)).unwrap());
     std::thread::scope(|s| {
         for _ in 0..4 {
             let engine = engine.clone();
@@ -168,8 +166,8 @@ fn chunk_size_one_is_exact() {
     let rt = Arc::new(RealRuntime::new());
     let counter = mem.alloc_direct(1).unwrap();
     let ds = Arc::new(ChunkOfOne { counter });
-    let cfg = HcfConfig::new(5)
-        .with_default_policy(PhasePolicy::combining_first(3).specialized(true));
+    let cfg =
+        HcfConfig::new(5).with_default_policy(PhasePolicy::combining_first(3).specialized(true));
     let engine = Arc::new(HcfEngine::new(ds, mem.clone(), rt.clone(), cfg).unwrap());
     std::thread::scope(|s| {
         for _ in 0..4 {
@@ -216,9 +214,7 @@ fn allocation_churn_is_stable_under_tiny_pool() {
     let rt = Arc::new(RealRuntime::new());
     let head = mem.alloc_direct(1).unwrap();
     let ds = Arc::new(AllocHungry { head });
-    let engine = Arc::new(
-        HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(4)).unwrap(),
-    );
+    let engine = Arc::new(HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(4)).unwrap());
     std::thread::scope(|s| {
         for _ in 0..3 {
             let engine = engine.clone();
@@ -281,9 +277,7 @@ fn recycling_under_readers_is_consistent() {
         ctx.write(n + 1, 60).unwrap();
         ctx.write(slots, n.0).unwrap();
     }
-    let engine = Arc::new(
-        HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(6)).unwrap(),
-    );
+    let engine = Arc::new(HcfEngine::new(ds, mem.clone(), rt.clone(), HcfConfig::new(6)).unwrap());
     std::thread::scope(|s| {
         for t in 0..5u64 {
             let engine = engine.clone();

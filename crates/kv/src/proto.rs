@@ -45,7 +45,10 @@ fn eq_ignore_case(a: &[u8], b: &str) -> bool {
 
 fn arity(name: &str, args: &[Vec<u8>], want: usize) -> Result<(), String> {
     if args.len() != want + 1 {
-        Err(format!("{name} takes {want} argument(s), got {}", args.len() - 1))
+        Err(format!(
+            "{name} takes {want} argument(s), got {}",
+            args.len() - 1
+        ))
     } else {
         Ok(())
     }
@@ -205,17 +208,15 @@ impl Reply {
                     match pair[0].as_slice() {
                         b"1" => vals.push(Some(pair[1].clone())),
                         b"0" => vals.push(None),
-                        f => {
-                            return Err(format!(
-                                "bad MVAL flag {:?}",
-                                String::from_utf8_lossy(f)
-                            ))
-                        }
+                        f => return Err(format!("bad MVAL flag {:?}", String::from_utf8_lossy(f))),
                     }
                 }
                 Ok(Reply::MVal(vals))
             }
-            t => Err(format!("unknown reply tag {:?}", String::from_utf8_lossy(t))),
+            t => Err(format!(
+                "unknown reply tag {:?}",
+                String::from_utf8_lossy(t)
+            )),
         }
     }
 }

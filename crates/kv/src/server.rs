@@ -719,7 +719,9 @@ fn process_batch(shard: &KvShard, batch: &mut Vec<Pending>) {
     shard.batches.fetch_add(1, Ordering::Relaxed);
     shard.reqs.fetch_add(batch.len() as u64, Ordering::Relaxed);
     shard.ops.fetch_add(n_ops, Ordering::Relaxed);
-    shard.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
+    shard
+        .max_batch
+        .fetch_max(batch.len() as u64, Ordering::Relaxed);
 
     // Results are resolved in operation order: a GET decodes its handle
     // before a later SET or DEL of the batch retires it, and the arena

@@ -77,8 +77,7 @@ fn client_traffic(addr: std::net::SocketAddr, tid: u64) {
                 let ks: Vec<Vec<u8>> = (0..4).map(|_| key(rng.next_u64() % KEYS)).collect();
                 let refs: Vec<&[u8]> = ks.iter().map(Vec::as_slice).collect();
                 let got = client.mget(&refs).expect("MGET");
-                let want: Vec<Option<Vec<u8>>> =
-                    ks.iter().map(|k| model.get(k).cloned()).collect();
+                let want: Vec<Option<Vec<u8>>> = ks.iter().map(|k| model.get(k).cloned()).collect();
                 assert_eq!(got, want, "MGET diverged at step {step}");
             }
         }
@@ -212,11 +211,13 @@ fn shutdown_drains_and_join_returns() {
     client.shutdown().expect("SHUTDOWN");
     server.join().expect("drained join");
     // The listener is gone after join.
-    assert!(KvClient::connect(addr).is_err() || {
-        // A racing TIME_WAIT accept can succeed; a request must not.
-        let mut c = KvClient::connect(addr).unwrap();
-        c.get(b"k").is_err()
-    });
+    assert!(
+        KvClient::connect(addr).is_err() || {
+            // A racing TIME_WAIT accept can succeed; a request must not.
+            let mut c = KvClient::connect(addr).unwrap();
+            c.get(b"k").is_err()
+        }
+    );
 }
 
 #[test]
@@ -247,7 +248,9 @@ fn a_dead_worker_is_a_stall_not_a_hang() {
         Err(e) => panic!("join did not return: {e}"),
     }
     // The client saw an error, and only after the memory filled up.
-    let failed_at = client_rx.recv_timeout(timeout).expect("client still blocked");
+    let failed_at = client_rx
+        .recv_timeout(timeout)
+        .expect("client still blocked");
     assert!(failed_at > 0, "the very first SET failed");
 }
 

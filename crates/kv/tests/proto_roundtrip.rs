@@ -75,10 +75,7 @@ fn reply() -> Gen<Reply> {
         bytes(48).map(Reply::Val),
         u64s(0..u64::MAX).map(Reply::Int),
         vec_of(
-            one_of(vec![
-                bytes(16).map(Some),
-                Gen::new(|_, _| None::<Vec<u8>>),
-            ]),
+            one_of(vec![bytes(16).map(Some), Gen::new(|_, _| None::<Vec<u8>>)]),
             0..5,
         )
         .map(Reply::MVal),

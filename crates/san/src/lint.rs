@@ -335,8 +335,10 @@ pub fn lint_source(path_label: &str, source: &str, class: FileClass) -> Vec<Find
                     flag(
                         idx,
                         "no-wall-clock",
-                        format!("{pat} in library code breaks deterministic replay; use the \
-                                 runtime's cycle counter"),
+                        format!(
+                            "{pat} in library code breaks deterministic replay; use the \
+                                 runtime's cycle counter"
+                        ),
                     );
                 }
             }
@@ -346,8 +348,10 @@ pub fn lint_source(path_label: &str, source: &str, class: FileClass) -> Vec<Find
                     flag(
                         idx,
                         "no-adhoc-rng",
-                        format!("{pat} is nondeterministic; use a seeded hcf_util::rng \
-                                 generator"),
+                        format!(
+                            "{pat} is nondeterministic; use a seeded hcf_util::rng \
+                                 generator"
+                        ),
                     );
                 }
             }
@@ -381,9 +385,8 @@ pub fn classify(rel: &str) -> FileClass {
     if rel == "crates/util/src/sync.rs" {
         return FileClass::SyncShim;
     }
-    let in_lib_src = rel.starts_with("crates/")
-        && rel.contains("/src/")
-        && !rel.contains("/src/bin/");
+    let in_lib_src =
+        rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/");
     if in_lib_src {
         FileClass::LibrarySource
     } else {
@@ -576,8 +579,14 @@ let r = r"std::sync::RwLock";
             classify("crates/san/src/bin/hcf-lint.rs"),
             FileClass::SupportSource
         );
-        assert_eq!(classify("crates/sim/tests/determinism.rs"), FileClass::SupportSource);
-        assert_eq!(classify("crates/ds/benches/bench.rs"), FileClass::SupportSource);
+        assert_eq!(
+            classify("crates/sim/tests/determinism.rs"),
+            FileClass::SupportSource
+        );
+        assert_eq!(
+            classify("crates/ds/benches/bench.rs"),
+            FileClass::SupportSource
+        );
     }
 
     #[test]

@@ -246,13 +246,24 @@ impl Checker {
                     self.flag(PROTO, seq, format!("duplicate begin of txn {txid}"));
                 }
             }
-            SanEvent::TxRead { txid, addr, value, orec, line: _ } => {
+            SanEvent::TxRead {
+                txid,
+                addr,
+                value,
+                orec,
+                line: _,
+            } => {
                 self.tx_read(seq, txid, addr, value, orec);
             }
             SanEvent::TxWrite { .. } => {
                 // Buffered store; nothing observable until commit.
             }
-            SanEvent::TxCommitWrite { txid, addr, value, wv: _ } => {
+            SanEvent::TxCommitWrite {
+                txid,
+                addr,
+                value,
+                wv: _,
+            } => {
                 let (tid, sub_ok, owner_tid) = match self.txs.get_mut(&txid) {
                     Some(tx) => {
                         tx.commit_writes += 1;
@@ -297,7 +308,12 @@ impl Checker {
                 }
                 self.apply_write(seq, addr, value, Some(txid));
             }
-            SanEvent::TxCommitted { txid, tid: _, wv: _, n_writes } => {
+            SanEvent::TxCommitted {
+                txid,
+                tid: _,
+                wv: _,
+                n_writes,
+            } => {
                 self.report.txns_committed += 1;
                 let Some(tx) = self.txs.remove(&txid) else {
                     self.flag(PROTO, seq, format!("commit of unknown txn {txid}"));
@@ -338,7 +354,12 @@ impl Checker {
                     None => self.flag(PROTO, seq, format!("abort of unknown txn {txid}")),
                 }
             }
-            SanEvent::DirectWrite { tid, addr, value, wv: _ } => {
+            SanEvent::DirectWrite {
+                tid,
+                addr,
+                value,
+                wv: _,
+            } => {
                 if let Some(slot) = self.slots.get(&addr) {
                     let sel = slot.sel_lock;
                     let owner = slot.owner;
@@ -424,7 +445,11 @@ impl Checker {
                 }
                 self.recs.insert(rec, to);
             }
-            SanEvent::SlotRegistered { slot, owner, sel_lock } => {
+            SanEvent::SlotRegistered {
+                slot,
+                owner,
+                sel_lock,
+            } => {
                 self.slots.insert(slot, SlotInfo { owner, sel_lock });
             }
         }
@@ -515,10 +540,7 @@ impl Checker {
         if self.fallback_words.is_empty() {
             return;
         }
-        let subscribed = self
-            .fallback_words
-            .iter()
-            .any(|w| tx.reads.contains_key(w));
+        let subscribed = self.fallback_words.iter().any(|w| tx.reads.contains_key(w));
         if !subscribed {
             self.flag(
                 SUB,
@@ -583,11 +605,35 @@ mod tests {
     fn clean_read_write_commit() {
         // txn 1 reads addr 4 (value 0), writes it, commits.
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 0, orec: unlocked(0), line: 4 },
-            SanEvent::TxWrite { txid: 1, addr: 4, value: 7 },
-            SanEvent::TxCommitWrite { txid: 1, addr: 4, value: 7, wv: 1 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 1, n_writes: 1 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 0,
+                orec: unlocked(0),
+                line: 4,
+            },
+            SanEvent::TxWrite {
+                txid: 1,
+                addr: 4,
+                value: 7,
+            },
+            SanEvent::TxCommitWrite {
+                txid: 1,
+                addr: 4,
+                value: 7,
+                wv: 1,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 1,
+                n_writes: 1,
+            },
         ]);
         let r = check(&log);
         assert!(r.ok(), "{r}");
@@ -599,11 +645,36 @@ mod tests {
         // txn 1 reads addr 4; a torn write changes it (no abort); txn 1
         // still commits an update -> SERIAL.
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 0, orec: unlocked(0), line: 4 },
-            SanEvent::DirectWrite { tid: 1, addr: 4, value: 9, wv: 0 },
-            SanEvent::TxCommitWrite { txid: 1, addr: 8, value: 1, wv: 1 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 1, n_writes: 1 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 0,
+                orec: unlocked(0),
+                line: 4,
+            },
+            SanEvent::DirectWrite {
+                tid: 1,
+                addr: 4,
+                value: 9,
+                wv: 0,
+            },
+            SanEvent::TxCommitWrite {
+                txid: 1,
+                addr: 8,
+                value: 1,
+                wv: 1,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 1,
+                n_writes: 1,
+            },
         ]);
         let r = check(&log);
         assert!(r.has(SERIAL), "{r}");
@@ -612,10 +683,31 @@ mod tests {
     #[test]
     fn inconsistent_repeat_read_is_opacity() {
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 0, orec: unlocked(0), line: 4 },
-            SanEvent::DirectWrite { tid: 1, addr: 4, value: 9, wv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 9, orec: unlocked(0), line: 4 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 0,
+                orec: unlocked(0),
+                line: 4,
+            },
+            SanEvent::DirectWrite {
+                tid: 1,
+                addr: 4,
+                value: 9,
+                wv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 9,
+                orec: unlocked(0),
+                line: 4,
+            },
             SanEvent::TxAborted { txid: 1, cause: 0 },
         ]);
         let r = check(&log);
@@ -627,11 +719,37 @@ mod tests {
         // txn reads a=0; a and b are overwritten; txn reads the *new* b:
         // no point in time has (a=0, b=new).
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 0, orec: unlocked(0), line: 4 },
-            SanEvent::DirectWrite { tid: 1, addr: 4, value: 1, wv: 0 },
-            SanEvent::DirectWrite { tid: 1, addr: 5, value: 2, wv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 5, value: 2, orec: unlocked(0), line: 5 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 0,
+                orec: unlocked(0),
+                line: 4,
+            },
+            SanEvent::DirectWrite {
+                tid: 1,
+                addr: 4,
+                value: 1,
+                wv: 0,
+            },
+            SanEvent::DirectWrite {
+                tid: 1,
+                addr: 5,
+                value: 2,
+                wv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 5,
+                value: 2,
+                orec: unlocked(0),
+                line: 5,
+            },
             SanEvent::TxAborted { txid: 1, cause: 0 },
         ]);
         let r = check(&log);
@@ -641,8 +759,18 @@ mod tests {
     #[test]
     fn stale_value_flagged() {
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 5, orec: unlocked(0), line: 4 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 5,
+                orec: unlocked(0),
+                line: 4,
+            },
             SanEvent::TxAborted { txid: 1, cause: 0 },
         ]);
         let r = check(&log);
@@ -652,9 +780,24 @@ mod tests {
     #[test]
     fn read_past_snapshot_is_order_violation() {
         let log = log_of(vec![
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::DirectWrite { tid: 0, addr: 4, value: 3, wv: 1 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 3, orec: unlocked(1), line: 4 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::DirectWrite {
+                tid: 0,
+                addr: 4,
+                value: 3,
+                wv: 1,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 3,
+                orec: unlocked(1),
+                line: 4,
+            },
             SanEvent::TxAborted { txid: 1, cause: 0 },
         ]);
         let r = check(&log);
@@ -664,10 +807,27 @@ mod tests {
     #[test]
     fn commit_without_subscription_flagged() {
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 1 },
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxCommitWrite { txid: 1, addr: 4, value: 1, wv: 1 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 1, n_writes: 1 },
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 1,
+            },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxCommitWrite {
+                txid: 1,
+                addr: 4,
+                value: 1,
+                wv: 1,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 1,
+                n_writes: 1,
+            },
         ]);
         let r = check(&log);
         assert!(r.has(SUB), "{r}");
@@ -677,11 +837,28 @@ mod tests {
     #[test]
     fn commit_in_held_window_flagged() {
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 1 },
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 1,
+            },
             SanEvent::LockAcquired { tid: 3, word: 64 },
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxCommitWrite { txid: 1, addr: 4, value: 1, wv: 1 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 1, n_writes: 1 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxCommitWrite {
+                txid: 1,
+                addr: 4,
+                value: 1,
+                wv: 1,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 1,
+                n_writes: 1,
+            },
             SanEvent::LockReleased { tid: 3, word: 64 },
         ]);
         let r = check(&log);
@@ -692,12 +869,35 @@ mod tests {
     fn holder_commit_not_flagged_as_lock_violation() {
         // The combiner itself may run transactions while holding a lock.
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 1 },
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 1,
+            },
             SanEvent::LockAcquired { tid: 0, word: 64 },
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 64, value: 1, orec: unlocked(0), line: 64 },
-            SanEvent::TxCommitWrite { txid: 1, addr: 4, value: 1, wv: 1 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 1, n_writes: 1 },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 64,
+                value: 1,
+                orec: unlocked(0),
+                line: 64,
+            },
+            SanEvent::TxCommitWrite {
+                txid: 1,
+                addr: 4,
+                value: 1,
+                wv: 1,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 1,
+                n_writes: 1,
+            },
             SanEvent::LockReleased { tid: 0, word: 64 },
         ]);
         let r = check(&log);
@@ -710,10 +910,28 @@ mod tests {
     #[test]
     fn read_only_commit_needs_no_subscription() {
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 1 },
-            SanEvent::TxBegin { txid: 1, tid: 0, rv: 0 },
-            SanEvent::TxRead { txid: 1, addr: 4, value: 0, orec: unlocked(0), line: 4 },
-            SanEvent::TxCommitted { txid: 1, tid: 0, wv: 0, n_writes: 0 },
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 1,
+            },
+            SanEvent::TxBegin {
+                txid: 1,
+                tid: 0,
+                rv: 0,
+            },
+            SanEvent::TxRead {
+                txid: 1,
+                addr: 4,
+                value: 0,
+                orec: unlocked(0),
+                line: 4,
+            },
+            SanEvent::TxCommitted {
+                txid: 1,
+                tid: 0,
+                wv: 0,
+                n_writes: 0,
+            },
         ]);
         let r = check(&log);
         assert!(r.ok(), "{r}");
@@ -722,9 +940,21 @@ mod tests {
     #[test]
     fn illegal_record_transition_flagged() {
         let log = log_of(vec![
-            SanEvent::RecTransition { rec: 9, from: 0, to: 1 },
-            SanEvent::RecTransition { rec: 9, from: 1, to: 3 },
-            SanEvent::RecTransition { rec: 9, from: 3, to: 2 },
+            SanEvent::RecTransition {
+                rec: 9,
+                from: 0,
+                to: 1,
+            },
+            SanEvent::RecTransition {
+                rec: 9,
+                from: 1,
+                to: 3,
+            },
+            SanEvent::RecTransition {
+                rec: 9,
+                from: 3,
+                to: 2,
+            },
         ]);
         let r = check(&log);
         assert!(r.has(REC), "{r}");
@@ -734,11 +964,31 @@ mod tests {
     #[test]
     fn legal_record_lifecycles_pass() {
         let log = log_of(vec![
-            SanEvent::RecTransition { rec: 1, from: 0, to: 1 },
-            SanEvent::RecTransition { rec: 1, from: 1, to: 2 },
-            SanEvent::RecTransition { rec: 1, from: 2, to: 3 },
-            SanEvent::RecTransition { rec: 2, from: 0, to: 1 },
-            SanEvent::RecTransition { rec: 2, from: 1, to: 3 },
+            SanEvent::RecTransition {
+                rec: 1,
+                from: 0,
+                to: 1,
+            },
+            SanEvent::RecTransition {
+                rec: 1,
+                from: 1,
+                to: 2,
+            },
+            SanEvent::RecTransition {
+                rec: 1,
+                from: 2,
+                to: 3,
+            },
+            SanEvent::RecTransition {
+                rec: 2,
+                from: 0,
+                to: 1,
+            },
+            SanEvent::RecTransition {
+                rec: 2,
+                from: 1,
+                to: 3,
+            },
         ]);
         assert!(check(&log).ok());
     }
@@ -746,10 +996,27 @@ mod tests {
     #[test]
     fn slot_clear_requires_selection_lock() {
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 0 },
-            SanEvent::SlotRegistered { slot: 128, owner: 2, sel_lock: 64 },
-            SanEvent::DirectWrite { tid: 2, addr: 128, value: 3, wv: 1 }, // announce
-            SanEvent::DirectWrite { tid: 5, addr: 128, value: 0, wv: 2 }, // clear, no lock
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 0,
+            },
+            SanEvent::SlotRegistered {
+                slot: 128,
+                owner: 2,
+                sel_lock: 64,
+            },
+            SanEvent::DirectWrite {
+                tid: 2,
+                addr: 128,
+                value: 3,
+                wv: 1,
+            }, // announce
+            SanEvent::DirectWrite {
+                tid: 5,
+                addr: 128,
+                value: 0,
+                wv: 2,
+            }, // clear, no lock
         ]);
         let r = check(&log);
         assert!(r.has(SLOT), "{r}");
@@ -758,11 +1025,28 @@ mod tests {
     #[test]
     fn combiner_slot_clear_under_lock_passes() {
         let log = log_of(vec![
-            SanEvent::LockRegistered { word: 64, fallback: 0 },
-            SanEvent::SlotRegistered { slot: 128, owner: 2, sel_lock: 64 },
-            SanEvent::DirectWrite { tid: 2, addr: 128, value: 3, wv: 1 },
+            SanEvent::LockRegistered {
+                word: 64,
+                fallback: 0,
+            },
+            SanEvent::SlotRegistered {
+                slot: 128,
+                owner: 2,
+                sel_lock: 64,
+            },
+            SanEvent::DirectWrite {
+                tid: 2,
+                addr: 128,
+                value: 3,
+                wv: 1,
+            },
             SanEvent::LockAcquired { tid: 5, word: 64 },
-            SanEvent::DirectWrite { tid: 5, addr: 128, value: 0, wv: 2 },
+            SanEvent::DirectWrite {
+                tid: 5,
+                addr: 128,
+                value: 0,
+                wv: 2,
+            },
             SanEvent::LockReleased { tid: 5, word: 64 },
         ]);
         let r = check(&log);
@@ -772,8 +1056,17 @@ mod tests {
     #[test]
     fn foreign_announce_flagged() {
         let log = log_of(vec![
-            SanEvent::SlotRegistered { slot: 128, owner: 2, sel_lock: 64 },
-            SanEvent::DirectWrite { tid: 4, addr: 128, value: 5, wv: 1 },
+            SanEvent::SlotRegistered {
+                slot: 128,
+                owner: 2,
+                sel_lock: 64,
+            },
+            SanEvent::DirectWrite {
+                tid: 4,
+                addr: 128,
+                value: 5,
+                wv: 1,
+            },
         ]);
         let r = check(&log);
         assert!(r.has(SLOT), "{r}");
@@ -781,14 +1074,22 @@ mod tests {
 
     #[test]
     fn truncated_log_not_certified() {
-        let r = check(&SanLog { events: vec![], dropped: 3 });
+        let r = check(&SanLog {
+            events: vec![],
+            dropped: 3,
+        });
         assert!(r.has(TRUNC));
     }
 
     #[test]
     fn malformed_stream_is_proto() {
         let log = log_of(vec![
-            SanEvent::TxCommitted { txid: 42, tid: 0, wv: 1, n_writes: 0 },
+            SanEvent::TxCommitted {
+                txid: 42,
+                tid: 0,
+                wv: 1,
+                n_writes: 0,
+            },
             SanEvent::LockReleased { tid: 0, word: 8 },
         ]);
         let r = check(&log);

@@ -33,7 +33,10 @@ fn build_table(
     for k in 0..32 {
         t.insert(ctx, k * 2, k)?;
     }
-    Ok((Arc::new(HashTableDs::new(t)), HashTableDs::hcf_config(threads)))
+    Ok((
+        Arc::new(HashTableDs::new(t)),
+        HashTableDs::hcf_config(threads),
+    ))
 }
 
 /// Small key range + update-heavy mix: forces conflicts, aborts, lock

@@ -381,7 +381,9 @@ where
     assert!(n_runs >= 1);
     let runs = (0..n_runs)
         .map(|i| {
-            let cfg_i = cfg.clone().with_seed(cfg.seed.wrapping_add(i as u64 * 7919));
+            let cfg_i = cfg
+                .clone()
+                .with_seed(cfg.seed.wrapping_add(i as u64 * 7919));
             run(&cfg_i, variant, make_build(), gen)
         })
         .collect();
@@ -500,17 +502,15 @@ mod tests {
 
     #[test]
     fn run_seeds_aggregates() {
-        let m = run_seeds(
-            &tiny_cfg(2),
-            Variant::Hcf,
-            3,
-            || build_table,
-            &map_gen(80),
-        );
+        let m = run_seeds(&tiny_cfg(2), Variant::Hcf, 3, || build_table, &map_gen(80));
         assert_eq!(m.runs.len(), 3);
         assert!(m.mean_throughput() > 0.0);
         assert!(m.std_throughput() >= 0.0);
-        assert!(m.rel_std_pct() < 50.0, "seeds wildly divergent: {:.1}%", m.rel_std_pct());
+        assert!(
+            m.rel_std_pct() < 50.0,
+            "seeds wildly divergent: {:.1}%",
+            m.rel_std_pct()
+        );
         let rep = m.representative();
         assert!(m.runs.iter().any(|r| r.total_ops == rep.total_ops));
     }

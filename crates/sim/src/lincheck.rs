@@ -126,8 +126,8 @@ fn dfs<S: SeqSpec>(
 
 use std::sync::Arc;
 
-use hcf_util::sync::Mutex;
 use hcf_util::rng::*;
+use hcf_util::sync::Mutex;
 
 use hcf_core::{DataStructure, HcfConfig, Variant};
 use hcf_tmem::runtime::Runtime;

@@ -159,8 +159,8 @@ impl LockstepRuntime {
             // and runtime are sized together). Treat as a hit.
             return self.cost.l1_hit;
         };
-        let epoch = (self.accesses.fetch_add(1, Ordering::Relaxed) / self.cost.cache_epoch)
-            & EPOCH_MASK;
+        let epoch =
+            (self.accesses.fetch_add(1, Ordering::Relaxed) / self.cost.cache_epoch) & EPOCH_MASK;
         let mut tag = owner.load(Ordering::Relaxed);
         let mut evicted = false;
         if (tag >> EPOCH_SHIFT) & EPOCH_MASK != epoch {
@@ -178,15 +178,19 @@ impl LockstepRuntime {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.cost.l1_hit
                 } else {
-                    owner.store((tag & BLOOM_MASK) | bit | epoch_bits
-                        | ((writer as u64) << WRITER_SHIFT), Ordering::Relaxed);
+                    owner.store(
+                        (tag & BLOOM_MASK) | bit | epoch_bits | ((writer as u64) << WRITER_SHIFT),
+                        Ordering::Relaxed,
+                    );
                     self.miss_cost(tid, writer)
                 }
             }
             AccessKind::Write => {
                 let exclusive = !evicted && writer == tid + 1 && (tag & BLOOM_MASK) == bit;
-                owner.store(((tid as u64 + 1) << WRITER_SHIFT) | bit | epoch_bits,
-                    Ordering::Relaxed);
+                owner.store(
+                    ((tid as u64 + 1) << WRITER_SHIFT) | bit | epoch_bits,
+                    Ordering::Relaxed,
+                );
                 if exclusive {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.cost.l1_hit

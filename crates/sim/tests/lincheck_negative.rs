@@ -6,12 +6,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hcf_core::{DataStructure, Executor, ExecStatsSnapshot, HcfConfig, HcfEngine};
+use hcf_core::{DataStructure, ExecStatsSnapshot, Executor, HcfConfig, HcfEngine};
 use hcf_sim::lincheck::{check_linearizable, OpSpan, SeqSpec};
 use hcf_sim::{CostModel, LockstepRuntime, Topology};
 use hcf_tmem::{Addr, DirectCtx, MemCtx, RealRuntime, Runtime, TMem, TMemConfig, TxResult};
-use hcf_util::sync::Mutex;
 use hcf_util::rng::*;
+use hcf_util::sync::Mutex;
 
 /// A register with fetch-and-add semantics.
 struct Reg {
@@ -87,9 +87,8 @@ fn record(lie_every: Option<u64>) -> Vec<OpSpan<u64, u64>> {
         mem.config().lines(),
     ));
     let rt: Arc<dyn Runtime> = runtime.clone();
-    let engine: Arc<dyn Executor<Reg>> = Arc::new(
-        HcfEngine::new(ds, mem, rt, HcfConfig::new(threads)).unwrap(),
-    );
+    let engine: Arc<dyn Executor<Reg>> =
+        Arc::new(HcfEngine::new(ds, mem, rt, HcfConfig::new(threads)).unwrap());
     let exec: Arc<dyn Executor<Reg>> = match lie_every {
         Some(n) => Arc::new(Liar {
             inner: engine,

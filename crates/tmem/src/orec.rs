@@ -118,7 +118,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "debug_assert only fires in debug builds")]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "debug_assert only fires in debug builds"
+    )]
     #[should_panic(expected = "version overflow")]
     fn overflowing_version_panics_in_debug() {
         // One past the representable range would shift into the sign-off

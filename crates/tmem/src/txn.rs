@@ -219,7 +219,11 @@ impl<'m> Txn<'m> {
     /// [`AbortCause::OutOfMemory`] or [`AbortCause::Capacity`].
     pub fn alloc(&mut self, words: usize) -> TxResult<Addr> {
         self.check_poison()?;
-        let a = self.mem.allocator().alloc(words).map_err(|e| self.poison(e))?;
+        let a = self
+            .mem
+            .allocator()
+            .alloc(words)
+            .map_err(|e| self.poison(e))?;
         self.scratch.allocs.push((a, words));
         for i in 0..words as u64 {
             self.write(a + i, 0)?;
@@ -508,7 +512,10 @@ mod tests {
     use crate::runtime::RealRuntime;
 
     fn setup() -> (TMem, RealRuntime) {
-        (TMem::new(TMemConfig::small_word_granular()), RealRuntime::new())
+        (
+            TMem::new(TMemConfig::small_word_granular()),
+            RealRuntime::new(),
+        )
     }
 
     #[test]
@@ -552,8 +559,9 @@ mod tests {
         let a = m.alloc_direct(1).unwrap();
         let mut tx = m.begin(&rt);
         assert_eq!(tx.read(a).unwrap(), 0);
-        m.write_direct(&rt, a, 5); // lock holder / combiner writes
-        // The read set is now stale; commit of a dependent write must fail.
+        // A lock holder or combiner writes; the read set is now stale, so
+        // commit of a dependent write must fail.
+        m.write_direct(&rt, a, 5);
         tx.write(a, 1).unwrap();
         assert_eq!(tx.commit().unwrap_err(), AbortCause::Conflict);
         assert_eq!(m.read_direct(&rt, a), 5);
@@ -616,10 +624,7 @@ mod tests {
         let (m, rt) = setup();
         let a = m.alloc_direct(1).unwrap();
         let mut tx = m.begin(&rt);
-        assert_eq!(
-            tx.explicit_abort(7).unwrap_err(),
-            AbortCause::Explicit(7)
-        );
+        assert_eq!(tx.explicit_abort(7).unwrap_err(), AbortCause::Explicit(7));
         assert_eq!(tx.read(a).unwrap_err(), AbortCause::Explicit(7));
         assert_eq!(tx.write(a, 1).unwrap_err(), AbortCause::Explicit(7));
         assert_eq!(tx.commit().unwrap_err(), AbortCause::Explicit(7));

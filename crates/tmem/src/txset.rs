@@ -337,7 +337,9 @@ thread_local! {
 
 /// Takes a scratch from the calling thread's pool (or creates one).
 pub fn pool_take() -> TxnScratch {
-    SCRATCH_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+    SCRATCH_POOL
+        .with(|p| p.borrow_mut().pop())
+        .unwrap_or_default()
 }
 
 /// Resets `scratch` and returns it to the calling thread's pool.

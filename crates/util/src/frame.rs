@@ -221,7 +221,10 @@ mod tests {
         write_frame(&mut buf, &[b"B", b"C"]).unwrap();
         let mut cur = Cursor::new(buf);
         let lim = FrameLimits::default();
-        assert_eq!(read_frame(&mut cur, lim).unwrap().unwrap(), vec![b"A".to_vec()]);
+        assert_eq!(
+            read_frame(&mut cur, lim).unwrap().unwrap(),
+            vec![b"A".to_vec()]
+        );
         assert_eq!(
             read_frame(&mut cur, lim).unwrap().unwrap(),
             vec![b"B".to_vec(), b"C".to_vec()]
@@ -261,11 +264,11 @@ mod tests {
     fn malformed_headers_are_rejected() {
         let lim = FrameLimits::default();
         for junk in [
-            &b"2\n$1\nA\n"[..],        // missing '*'
-            &b"*\n"[..],               // no digits
-            &b"*1\n$x\nA\n"[..],       // non-decimal length
-            &b"*0\n"[..],              // empty frame
-            &b"*1\n$1\nAB"[..],        // wrong terminator
+            &b"2\n$1\nA\n"[..],                // missing '*'
+            &b"*\n"[..],                       // no digits
+            &b"*1\n$x\nA\n"[..],               // non-decimal length
+            &b"*0\n"[..],                      // empty frame
+            &b"*1\n$1\nAB"[..],                // wrong terminator
             &b"*1\n$999999999999999999\n"[..], // overflow-length
         ] {
             assert!(

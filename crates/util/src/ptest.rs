@@ -231,15 +231,16 @@ fn run_case<F: Fn(&mut StdRng, u32)>(prop: &F, seed: u64, size: u32) -> Option<S
 /// environment in the message.
 pub fn run<F: Fn(&mut StdRng, u32)>(name: &str, cases: u32, prop: F) {
     // Forced reproduction of one exact case.
-    if let Some(seed) = std::env::var("HCF_PTEST_SEED").ok().and_then(|s| parse_u64(&s)) {
+    if let Some(seed) = std::env::var("HCF_PTEST_SEED")
+        .ok()
+        .and_then(|s| parse_u64(&s))
+    {
         let size = std::env::var("HCF_PTEST_SIZE")
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(MAX_SIZE);
         if let Some(msg) = run_case(&prop, seed, size) {
-            panic!(
-                "proptest_lite: '{name}' failed at forced seed=0x{seed:x} size={size}: {msg}"
-            );
+            panic!("proptest_lite: '{name}' failed at forced seed=0x{seed:x} size={size}: {msg}");
         }
         return;
     }
@@ -374,7 +375,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let big: usize = (0..50).map(|_| g.generate(&mut rng, MAX_SIZE).len()).sum();
         let small: usize = (0..50).map(|_| g.generate(&mut rng, 2).len()).sum();
-        assert!(small < big / 4, "shrunk sizes not smaller: {small} vs {big}");
+        assert!(
+            small < big / 4,
+            "shrunk sizes not smaller: {small} vs {big}"
+        );
     }
 
     #[test]
@@ -406,7 +410,9 @@ mod tests {
     fn option_of_produces_both() {
         let g = option_of(u64s(0..10));
         let mut rng = StdRng::seed_from_u64(6);
-        let nones = (0..400).filter(|_| g.generate(&mut rng, MAX_SIZE).is_none()).count();
+        let nones = (0..400)
+            .filter(|_| g.generate(&mut rng, MAX_SIZE).is_none())
+            .count();
         assert!(nones > 40 && nones < 200, "odd None rate: {nones}/400");
     }
 

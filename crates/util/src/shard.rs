@@ -64,7 +64,10 @@ mod tests {
     fn deterministic_and_seed_separated() {
         assert_eq!(hash_bytes(1, b"hello"), hash_bytes(1, b"hello"));
         assert_ne!(hash_bytes(1, b"hello"), hash_bytes(2, b"hello"));
-        assert_ne!(hash_bytes(SHARD_SEED, b"hello"), hash_bytes(KEY_SEED, b"hello"));
+        assert_ne!(
+            hash_bytes(SHARD_SEED, b"hello"),
+            hash_bytes(KEY_SEED, b"hello")
+        );
     }
 
     #[test]

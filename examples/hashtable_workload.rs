@@ -59,7 +59,10 @@ fn main() {
                             n += 1;
                         }
                     }
-                    Ok((Arc::new(HashTableDs::new(table)), HashTableDs::hcf_config(th)))
+                    Ok((
+                        Arc::new(HashTableDs::new(table)),
+                        HashTableDs::hcf_config(th),
+                    ))
                 },
                 move |_tid, rng: &mut StdRng| w.op(rng),
             );

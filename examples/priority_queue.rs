@@ -33,8 +33,13 @@ fn main() {
     // RemoveMin ops go to a combining-first publication array; Inserts to
     // a TLE-like four-phase array (the §2.1 customization).
     let engine = Arc::new(
-        HcfEngine::new(ds, mem.clone(), rt.clone(), SkipListPqDs::hcf_config(threads))
-            .expect("build engine"),
+        HcfEngine::new(
+            ds,
+            mem.clone(),
+            rt.clone(),
+            SkipListPqDs::hcf_config(threads),
+        )
+        .expect("build engine"),
     );
 
     let per_producer = 5_000u64;

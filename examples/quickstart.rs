@@ -56,7 +56,10 @@ fn main() {
     });
 
     let stats = engine.exec_stats();
-    println!("executed {} operations on {threads} threads", stats.total_ops());
+    println!(
+        "executed {} operations on {threads} threads",
+        stats.total_ops()
+    );
     let [private, visible, combining, lock] = stats.completed_by_phase();
     println!("completed per phase:");
     println!("  TryPrivate       {private}");

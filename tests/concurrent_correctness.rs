@@ -8,16 +8,20 @@ use std::sync::Arc;
 
 use hcf_core::{Executor, Variant};
 use hcf_ds::{
-    Deque, DequeDs, DequeOp, HashTable, HashTableDs, MapOp, SkipListPq, SkipListPqDs, PqOp,
-    Stack, StackDs, StackOp,
+    Deque, DequeDs, DequeOp, HashTable, HashTableDs, MapOp, PqOp, SkipListPq, SkipListPqDs, Stack,
+    StackDs, StackOp,
 };
 use hcf_tmem::{DirectCtx, RealRuntime, TMem, TMemConfig};
 
 const THREADS: usize = 6;
 const OPS: u64 = 300;
 
-fn harness<D, B, V>(variant: Variant, build: B, body: impl Fn(&dyn Executor<D>, u64) + Sync, verify: V)
-where
+fn harness<D, B, V>(
+    variant: Variant,
+    build: B,
+    body: impl Fn(&dyn Executor<D>, u64) + Sync,
+    verify: V,
+) where
     D: hcf_core::DataStructure,
     B: FnOnce(&mut dyn hcf_tmem::MemCtx) -> hcf_tmem::TxResult<(Arc<D>, hcf_core::HcfConfig)>,
     V: FnOnce(&mut dyn hcf_tmem::MemCtx, &D),

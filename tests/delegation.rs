@@ -54,7 +54,14 @@ fn stress(config: HcfConfig, threads: u64, per_thread: u64, label: &str) {
         Arc::new(DepositLog::create(&mut ctx, threads * per_thread + 1).unwrap())
     };
     let exec = Variant::Hcf
-        .build(ds.clone(), mem.clone(), rt.clone(), threads as usize, 10, config)
+        .build(
+            ds.clone(),
+            mem.clone(),
+            rt.clone(),
+            threads as usize,
+            10,
+            config,
+        )
         .unwrap();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -115,8 +122,7 @@ fn exactly_once_combining_only() {
 #[test]
 fn exactly_once_specialized() {
     stress(
-        HcfConfig::new(6)
-            .with_default_policy(PhasePolicy::combining_first(4).specialized(true)),
+        HcfConfig::new(6).with_default_policy(PhasePolicy::combining_first(4).specialized(true)),
         6,
         250,
         "specialized",

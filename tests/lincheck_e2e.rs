@@ -136,7 +136,10 @@ fn timestamps_respect_real_time() {
         let mut spans: Vec<_> = history.iter().filter(|s| s.tid == tid).collect();
         spans.sort_by_key(|s| s.invoke);
         for w in spans.windows(2) {
-            assert!(w[0].response <= w[1].invoke, "overlapping spans on one thread");
+            assert!(
+                w[0].response <= w[1].invoke,
+                "overlapping spans on one thread"
+            );
         }
         for s in &spans {
             assert!(s.invoke <= s.response);

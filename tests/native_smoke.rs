@@ -137,9 +137,7 @@ impl Executor<HashTableDs> for StalledExecutor {
 /// stall diagnostics instead of hanging the harness forever.
 #[test]
 fn watchdog_detects_stalled_executor() {
-    let cfg = NativeConfig::new(2)
-        .with_ops(10)
-        .with_watchdog_ms(250);
+    let cfg = NativeConfig::new(2).with_ops(10).with_watchdog_ms(250);
     let err = run_native_with(
         &cfg,
         Variant::Fc,

@@ -22,10 +22,18 @@ fn build_table(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<HashTableD
             n += 1;
         }
     }
-    Ok((Arc::new(HashTableDs::new(t)), HashTableDs::hcf_config(threads)))
+    Ok((
+        Arc::new(HashTableDs::new(t)),
+        HashTableDs::hcf_config(threads),
+    ))
 }
 
-fn table_point(threads: usize, variant: Variant, find_pct: u32, duration: u64) -> hcf_sim::RunResult {
+fn table_point(
+    threads: usize,
+    variant: Variant,
+    find_pct: u32,
+    duration: u64,
+) -> hcf_sim::RunResult {
     let mut cfg = SimConfig::new(threads).with_duration(duration);
     cfg.tmem = TMemConfig::default().with_words(1 << 20);
     let w = MapWorkload {
@@ -75,8 +83,14 @@ fn read_only_workload_scales_on_htm_variants() {
         table_point(8, Variant::Tle, 100, 150_000),
         table_point(8, Variant::Lock, 100, 150_000),
     ];
-    assert!(t8[0].throughput() > 3.0 * t1[0].throughput(), "HCF must scale");
-    assert!(t8[1].throughput() > 3.0 * t1[1].throughput(), "TLE must scale");
+    assert!(
+        t8[0].throughput() > 3.0 * t1[0].throughput(),
+        "HCF must scale"
+    );
+    assert!(
+        t8[1].throughput() > 3.0 * t1[1].throughput(),
+        "TLE must scale"
+    );
     assert!(
         t8[2].throughput() < 2.0 * t1[2].throughput(),
         "Lock must not scale"
@@ -106,7 +120,11 @@ fn update_heavy_workload_favors_hcf_over_tle() {
         "HCF locks/op {hcf_locks:.4} must be below TLE {tle_locks:.4}"
     );
     // And HCF actually combines.
-    assert!(hcf.exec.avg_degree() > 1.2, "degree {}", hcf.exec.avg_degree());
+    assert!(
+        hcf.exec.avg_degree() > 1.2,
+        "degree {}",
+        hcf.exec.avg_degree()
+    );
 }
 
 #[test]
@@ -186,12 +204,18 @@ fn hcf_configured_as_tle_behaves_like_tle() {
             find_pct: 40,
         };
         let w2 = w.clone();
-        let as_tle = run(&cfg, Variant::Hcf, build_as_tle, move |_t, rng: &mut StdRng| {
-            w.op(rng)
-        });
-        let baseline = run(&cfg, Variant::Tle, build_table, move |_t, rng: &mut StdRng| {
-            w2.op(rng)
-        });
+        let as_tle = run(
+            &cfg,
+            Variant::Hcf,
+            build_as_tle,
+            move |_t, rng: &mut StdRng| w.op(rng),
+        );
+        let baseline = run(
+            &cfg,
+            Variant::Tle,
+            build_table,
+            move |_t, rng: &mut StdRng| w2.op(rng),
+        );
         let ratio = as_tle.throughput() / baseline.throughput();
         assert!(
             (0.75..1.33).contains(&ratio),

@@ -93,7 +93,12 @@ fn avl_all_variants_agree() {
     for v in Variant::ALL {
         let out = run_variant(
             v,
-            |ctx| Ok(Arc::new(AvlDs::new(AvlTree::create(ctx)?, AvlMode::Selective))),
+            |ctx| {
+                Ok(Arc::new(AvlDs::new(
+                    AvlTree::create(ctx)?,
+                    AvlMode::Selective,
+                )))
+            },
             |ctx, ds: &AvlDs| {
                 assert!(ds.tree().check_invariants(ctx).unwrap());
                 ds.tree().collect(ctx).unwrap()
@@ -128,7 +133,12 @@ fn pq_all_variants_agree() {
             |ctx| Ok(Arc::new(SkipListPqDs::new(SkipListPq::create(ctx)?))),
             |ctx, ds: &SkipListPqDs| {
                 assert!(ds.pq().check_invariants(ctx).unwrap());
-                ds.pq().collect(ctx).unwrap().into_iter().map(|(k, _)| k).collect()
+                ds.pq()
+                    .collect(ctx)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(k, _)| k)
+                    .collect()
             },
             &ops,
             SkipListPqDs::hcf_config,
