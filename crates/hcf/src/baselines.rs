@@ -6,6 +6,10 @@
 //! [`HcfConfig::fc`](crate::HcfConfig::fc) and
 //! [`HcfConfig::tle_fc`](crate::HcfConfig::tle_fc);
 //! [`Variant::build`](crate::Variant::build) constructs them that way.
+//!
+//! Each lock path publishes its stores at the lock's acquisition version
+//! ([`DirectCtx::under_lock`]), which is sound because every transaction
+//! here subscribes to that lock before its first read.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,9 +50,9 @@ impl<D: DataStructure> LockExecutor<D> {
 impl<D: DataStructure> Executor<D> for LockExecutor<D> {
     fn execute(&self, op: D::Op) -> D::Res {
         let rt = self.rt.as_ref();
-        self.lock.lock(rt);
+        let acquired = self.lock.lock(rt);
         self.stats.lock_acquired();
-        let mut ctx = DirectCtx::new(&self.mem, rt);
+        let mut ctx = DirectCtx::under_lock(&self.mem, rt, acquired);
         let res = self
             .ds
             .run_seq(&mut ctx, &op)
@@ -132,9 +136,9 @@ impl<D: DataStructure> TleExecutor<D> {
 
     fn run_locked(&self, op: &D::Op) -> D::Res {
         let rt = self.rt.as_ref();
-        self.lock.lock(rt);
+        let acquired = self.lock.lock(rt);
         self.stats.lock_acquired();
-        let mut ctx = DirectCtx::new(&self.mem, rt);
+        let mut ctx = DirectCtx::under_lock(&self.mem, rt, acquired);
         let res = self
             .ds
             .run_seq(&mut ctx, op)
@@ -254,9 +258,9 @@ impl<D: DataStructure> Executor<D> for ScmExecutor<D> {
         let res = match result {
             Some(res) => res,
             None => {
-                self.lock.lock(rt);
+                let acquired = self.lock.lock(rt);
                 self.stats.lock_acquired();
-                let mut ctx = DirectCtx::new(&self.mem, rt);
+                let mut ctx = DirectCtx::under_lock(&self.mem, rt, acquired);
                 let res = self
                     .ds
                     .run_seq(&mut ctx, &op)

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::addr::Addr;
 use crate::error::{AbortCause, TxResult};
-use crate::lock::ElidableLock;
+use crate::lock::{ElidableLock, LockVersion};
 use crate::mem::TMem;
 use crate::runtime::Runtime;
 use crate::txn::Txn;
@@ -148,12 +148,51 @@ impl MemCtx for TxCtx<'_, '_> {
 pub struct DirectCtx<'a> {
     mem: &'a TMem,
     rt: &'a dyn Runtime,
+    /// The version stores publish at ([`DirectCtx::under_lock`]); `None`
+    /// bumps the clock per store.
+    at: Option<u64>,
 }
 
 impl<'a> DirectCtx<'a> {
-    /// Creates a direct context over `mem`.
+    /// Creates a direct context over `mem`. Every store bumps the global
+    /// clock and publishes its line at the new version, like
+    /// [`TMem::write_direct`].
     pub fn new(mem: &'a TMem, rt: &'a dyn Runtime) -> Self {
-        DirectCtx { mem, rt }
+        DirectCtx { mem, rt, at: None }
+    }
+
+    /// Creates a direct context for the holder of an [`ElidableLock`]
+    /// whose [`lock`](ElidableLock::lock) returned `acquired`. Its stores
+    /// (and the zeroing of blocks it allocates) still lock and unlock each
+    /// line's orec, but publish the line at the acquisition's version
+    /// instead of bumping the shared clock once per store, as a TL2
+    /// commit publishes its whole write set at one version. A line whose
+    /// version is already above `acquired` gets a fresh clock value, so
+    /// no version ever goes down.
+    ///
+    /// Safe only if every transaction that can read the lines written here
+    /// subscribes to that lock *before* its first read of any of them,
+    /// which the HCF engine and the TLE/SCM baselines do (at each
+    /// transaction's first read). Then every transaction's clock snapshot
+    /// `rv` puts it in one of two cases:
+    ///
+    /// * `rv < acquired`: a line the holder wrote is above `rv`, so the
+    ///   transaction aborts at its next read of it, and the lock word's
+    ///   new version fails it at commit;
+    /// * `rv >= acquired`: its subscription reads the lock word either
+    ///   while the lock is held, and aborts, or after the release. The
+    ///   release bumps the clock above `acquired` after the holder's last
+    ///   store, and the subscription succeeds only if `rv` covers that
+    ///   bump, so every store made here happened before the snapshot.
+    ///
+    /// So no transaction reads a line between two of the holder's stores,
+    /// which is what a per-store clock bump would otherwise guard.
+    pub fn under_lock(mem: &'a TMem, rt: &'a dyn Runtime, acquired: LockVersion) -> Self {
+        DirectCtx {
+            mem,
+            rt,
+            at: Some(acquired.get()),
+        }
     }
 }
 
@@ -169,12 +208,12 @@ impl MemCtx for DirectCtx<'_> {
     }
 
     fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
-        self.mem.write_direct(self.rt, addr, value);
+        self.mem.store_direct(self.rt, addr, value, self.at);
         Ok(())
     }
 
     fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        self.mem.alloc_direct(words)
+        self.mem.alloc_direct_at(words, self.at)
     }
 
     fn free(&mut self, addr: Addr, words: usize) {
@@ -360,5 +399,141 @@ mod alloc_line_tests {
         let a = d.alloc_line().unwrap();
         let b = d.alloc_line().unwrap();
         assert_ne!(m.line_of(a), m.line_of(b));
+    }
+}
+
+/// Stores through [`DirectCtx::under_lock`] publish at the lock's
+/// acquisition version, and still abort every transaction that could see
+/// them half done.
+#[cfg(test)]
+mod under_lock_tests {
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::config::TMemConfig;
+    use crate::orec::OrecValue;
+    use crate::runtime::RealRuntime;
+
+    /// One word per conflict-detection line, so every address below has a
+    /// line of its own.
+    fn setup() -> (Arc<TMem>, RealRuntime, ElidableLock) {
+        let m = Arc::new(TMem::new(TMemConfig::small_word_granular()));
+        let lock = ElidableLock::new(m.clone()).unwrap();
+        (m, RealRuntime::new(), lock)
+    }
+
+    fn version(m: &TMem, a: Addr) -> u64 {
+        OrecValue(m.orec(m.line_of(a)).load(Ordering::Relaxed)).version()
+    }
+
+    #[test]
+    fn holder_stores_share_the_acquisition_version() {
+        let (m, rt, lock) = setup();
+        let (x, y) = (m.alloc_direct(1).unwrap(), m.alloc_direct(1).unwrap());
+        let acquired = lock.lock(&rt);
+        let z = {
+            let mut d = DirectCtx::under_lock(&m, &rt, acquired);
+            d.write(x, 1).unwrap();
+            d.write(y, 2).unwrap();
+            d.write(x, 3).unwrap();
+            d.alloc(1).unwrap()
+        };
+        assert_eq!(m.clock(), acquired.get(), "no store bumped the clock");
+        for a in [x, y, z] {
+            assert_eq!(version(&m, a), acquired.get());
+        }
+        lock.unlock(&rt);
+        assert!(m.clock() > acquired.get(), "the release bumps");
+        assert_eq!((m.read_direct(&rt, x), m.read_direct(&rt, y)), (3, 2));
+    }
+
+    /// (a) A transaction that read a line before the acquisition aborts at
+    /// its next read of a line the holder wrote.
+    #[test]
+    fn reader_from_before_the_acquisition_aborts_at_a_holder_line() {
+        let (m, rt, lock) = setup();
+        let (x, y) = (m.alloc_direct(1).unwrap(), m.alloc_direct(1).unwrap());
+        let mut tx = m.begin(&rt);
+        {
+            let mut c = TxCtx::new(&mut tx);
+            c.subscribe(&lock).unwrap();
+            assert_eq!(c.read(x).unwrap(), 0);
+        }
+        let acquired = lock.lock(&rt);
+        {
+            let mut d = DirectCtx::under_lock(&m, &rt, acquired);
+            d.write(x, 1).unwrap();
+            d.write(y, 1).unwrap();
+        }
+        assert_eq!(tx.read(y).unwrap_err(), AbortCause::Conflict);
+        let _ = tx.rollback(AbortCause::Conflict);
+        lock.unlock(&rt);
+    }
+
+    /// (b) A transaction that begins after the acquisition aborts when it
+    /// subscribes, although the holder's lines are not above its snapshot.
+    #[test]
+    fn transaction_begun_after_the_acquisition_aborts_at_subscription() {
+        let (m, rt, lock) = setup();
+        let x = m.alloc_direct(1).unwrap();
+        let acquired = lock.lock(&rt);
+        DirectCtx::under_lock(&m, &rt, acquired)
+            .write(x, 7)
+            .unwrap();
+
+        let mut tx = m.begin(&rt);
+        // The version check alone would let this transaction read the
+        // holder's line: the subscription is what keeps it out.
+        assert!(version(&m, x) <= m.clock());
+        {
+            let mut c = TxCtx::new(&mut tx);
+            assert!(c.subscribe(&lock).unwrap_err().is_lock_held());
+        }
+        let _ = tx.rollback(AbortCause::Conflict);
+        lock.unlock(&rt);
+
+        // After the release a subscriber sees every store of the section.
+        let mut tx = m.begin(&rt);
+        {
+            let mut c = TxCtx::new(&mut tx);
+            c.subscribe(&lock).unwrap();
+            assert_eq!(c.read(x).unwrap(), 7);
+        }
+        tx.commit().unwrap();
+    }
+
+    /// (c) A holder's store never lowers a line's version, also when a
+    /// commit landed on the line between the acquisition and the store.
+    #[test]
+    fn holder_store_never_lowers_a_line_version() {
+        let (m, rt, lock) = setup();
+        let (x, y, z) = (
+            m.alloc_direct(1).unwrap(),
+            m.alloc_direct(1).unwrap(),
+            m.alloc_direct(1).unwrap(),
+        );
+        let acquired = lock.lock(&rt);
+        // A transaction that does not subscribe commits inside the
+        // section, above the acquisition version.
+        let mut tx = m.begin(&rt);
+        tx.write(x, 1).unwrap();
+        tx.write(z, 1).unwrap();
+        tx.commit().unwrap();
+        let committed = version(&m, x);
+        assert!(committed > acquired.get());
+        m.free_direct(z, 1);
+
+        let mut d = DirectCtx::under_lock(&m, &rt, acquired);
+        d.write(x, 2).unwrap();
+        assert!(version(&m, x) > committed, "bumped past the commit");
+        d.write(y, 2).unwrap();
+        assert_eq!(version(&m, y), acquired.get());
+        // Zeroing a recycled block follows the same rule.
+        let z2 = d.alloc(1).unwrap();
+        assert_eq!(z2, z, "size-class recycling");
+        assert!(version(&m, z2) > committed);
+        assert_eq!(d.read(z2).unwrap(), 0);
+        lock.unlock(&rt);
     }
 }

@@ -90,7 +90,7 @@ pub use addr::Addr;
 pub use config::TMemConfig;
 pub use ctx::{DirectCtx, MemCtx, TxCtx};
 pub use error::{AbortCause, TxResult};
-pub use lock::ElidableLock;
+pub use lock::{ElidableLock, LockVersion};
 pub use mem::TMem;
 pub use runtime::{AccessKind, RealRuntime, Runtime, ThreadSlot, TxEvent};
 pub use stats::TxStats;

@@ -178,29 +178,29 @@ impl IdRegistry {
     }
 }
 
-/// One stripe of [`RealRuntime`] statistics. All four counters fit well
-/// inside the 128-byte padding unit, so a thread's begin/commit/access
+/// One stripe of [`RealRuntime`] statistics. All three counters fit well
+/// inside the 128-byte padding unit, so a thread's begin/commit/abort
 /// bumps stay on one private line.
 #[derive(Debug, Default)]
 struct CounterStripe {
-    accesses: AtomicU64,
     begins: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
 }
 
 /// Pass-through runtime for ordinary execution: threads run freely, time is
-/// wall time, and per-access cost hooks only bump counters.
+/// wall time, and the per-access cost hook does nothing.
 ///
-/// The counters are [`Striped`]: each OS thread bumps a cache-padded
-/// stripe it leases exclusively on first use and returns when it exits,
-/// chosen deliberately *not* by [`Runtime::thread_id`] (resolving a dense
-/// id inside `mem_access` would implicitly register threads and shift
-/// every later thread's id). `mem_access` runs on every transactional load
-/// and store: a single shared `fetch_add` target would serialize all
-/// worker threads on one cache line, and even a private one would cost a
-/// lock-prefixed RMW per access, so an owner bumps with a plain load and
-/// store. Threads that find no free stripe share an overflow stripe, still
+/// `mem_access` runs on every transactional and direct load and store, so
+/// it counts nothing: no report read a per-access count, and even a
+/// private striped counter cost a load and a store per access. Only the
+/// transaction lifecycle is counted ([`RealRuntime::tx_counts`]), on
+/// [`Striped`] counters: each OS thread bumps a cache-padded stripe it
+/// leases exclusively on first use and returns when it exits, chosen
+/// deliberately *not* by [`Runtime::thread_id`] (resolving a dense id
+/// inside `tx_event` would implicitly register threads and shift every
+/// later thread's id). An owner bumps with a plain load and store;
+/// threads that find no free stripe share an overflow stripe, still
 /// bumped with `fetch_add`, so counts stay exact.
 pub struct RealRuntime {
     start: Instant,
@@ -232,14 +232,6 @@ impl RealRuntime {
             totals.2 += s.aborts.load(Ordering::Relaxed);
         }
         totals
-    }
-
-    /// Total memory accesses observed.
-    pub fn access_count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.accesses.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Explicitly registers the calling thread, returning a guard that
@@ -333,7 +325,6 @@ impl fmt::Debug for RealRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RealRuntime")
             .field("threads", &self.ids.lock().next)
-            .field("accesses", &self.access_count())
             .finish()
     }
 }
@@ -376,9 +367,7 @@ impl Runtime for RealRuntime {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn mem_access(&self, _line: usize, _kind: AccessKind) {
-        self.stripes.add(|s| &s.accesses, 1);
-    }
+    fn mem_access(&self, _line: usize, _kind: AccessKind) {}
 
     fn tx_event(&self, event: TxEvent) {
         self.stripes.add(
@@ -389,19 +378,6 @@ impl Runtime for RealRuntime {
             },
             1,
         );
-    }
-
-    /// `RealRuntime` counts accesses but does not model coherence, so it
-    /// reports every access as a hit. This keeps
-    /// `mem_stats().total() == access_count()` — diagnostics that print
-    /// either number agree — at the cost of the hit/miss split being
-    /// meaningless here (only the lockstep runtime tracks ownership).
-    fn mem_stats(&self) -> MemAccessStats {
-        MemAccessStats {
-            hits: self.access_count(),
-            local_misses: 0,
-            remote_misses: 0,
-        }
     }
 }
 
@@ -424,13 +400,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let rt = RealRuntime::new();
-        rt.mem_access(0, AccessKind::Read);
-        rt.mem_access(1, AccessKind::Write);
         rt.tx_event(TxEvent::Begin);
         rt.tx_event(TxEvent::Commit);
         rt.tx_event(TxEvent::Begin);
         rt.tx_event(TxEvent::Abort);
-        assert_eq!(rt.access_count(), 2);
         assert_eq!(rt.tx_counts(), (2, 1, 1));
     }
 
@@ -440,17 +413,6 @@ mod tests {
         let a = rt.now();
         let b = rt.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn mem_stats_total_matches_access_count() {
-        let rt = RealRuntime::new();
-        rt.mem_access(3, AccessKind::Read);
-        rt.mem_access(4, AccessKind::Write);
-        let s = rt.mem_stats();
-        assert_eq!(s.total(), rt.access_count());
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.misses(), 0, "no coherence tracking: everything is a hit");
     }
 
     #[test]
@@ -525,17 +487,14 @@ mod tests {
         // must still sum correctly.
         let rt = Arc::new(RealRuntime::new());
         rt.tx_event(TxEvent::Begin);
-        rt.mem_access(0, AccessKind::Read);
         let rt2 = rt.clone();
         std::thread::spawn(move || {
             rt2.tx_event(TxEvent::Begin);
             rt2.tx_event(TxEvent::Commit);
-            rt2.mem_access(1, AccessKind::Write);
         })
         .join()
         .unwrap();
         assert_eq!(rt.tx_counts(), (2, 1, 0));
-        assert_eq!(rt.access_count(), 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct TxStats {
     stripes: Striped<Counters>,
 }
 
-/// One stripe of [`TxStats`]: nine counters, 72 bytes, inside one
+/// One stripe of [`TxStats`]: seven counters, 56 bytes, inside one
 /// 128-byte padding unit.
 #[derive(Debug, Default)]
 struct Counters {
@@ -34,8 +34,6 @@ struct Counters {
     aborts_oom: AtomicU64,
     tx_reads: AtomicU64,
     tx_writes: AtomicU64,
-    direct_reads: AtomicU64,
-    direct_writes: AtomicU64,
 }
 
 /// A point-in-time copy of [`TxStats`].
@@ -55,10 +53,6 @@ pub struct TxStatsSnapshot {
     pub tx_reads: u64,
     /// Transactional stores.
     pub tx_writes: u64,
-    /// Direct (non-transactional) loads.
-    pub direct_reads: u64,
-    /// Direct (non-transactional) stores.
-    pub direct_writes: u64,
 }
 
 impl TxStatsSnapshot {
@@ -113,14 +107,6 @@ impl TxStats {
         }
     }
 
-    pub(crate) fn record_direct_read(&self) {
-        self.stripes.add(|s| &s.direct_reads, 1);
-    }
-
-    pub(crate) fn record_direct_write(&self) {
-        self.stripes.add(|s| &s.direct_writes, 1);
-    }
-
     /// Takes a snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: all counters are independent monotonic
@@ -142,8 +128,6 @@ impl TxStats {
             t.aborts_oom += s.aborts_oom.load(Ordering::Relaxed);
             t.tx_reads += s.tx_reads.load(Ordering::Relaxed);
             t.tx_writes += s.tx_writes.load(Ordering::Relaxed);
-            t.direct_reads += s.direct_reads.load(Ordering::Relaxed);
-            t.direct_writes += s.direct_writes.load(Ordering::Relaxed);
         }
         t
     }
@@ -182,17 +166,8 @@ mod tests {
     fn access_counters() {
         let s = TxStats::new();
         s.record_tx_accesses(1, 1);
-        s.record_direct_read();
-        s.record_direct_write();
+        s.record_tx_accesses(2, 0);
         let snap = s.snapshot();
-        assert_eq!(
-            (
-                snap.tx_reads,
-                snap.tx_writes,
-                snap.direct_reads,
-                snap.direct_writes
-            ),
-            (1, 1, 1, 1)
-        );
+        assert_eq!((snap.tx_reads, snap.tx_writes), (3, 1));
     }
 }

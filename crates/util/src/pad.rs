@@ -262,10 +262,39 @@ impl<T> fmt::Debug for Striped<T> {
     }
 }
 
+/// `n` atomics, all zero, whose pages this call does not write.
+///
+/// `vec![0; n]` takes the allocator's zeroed path (fresh, untouched pages
+/// for a large `n`), and the map to `AtomicU64` reuses that allocation in
+/// place, so the copy loop left is an identity that the optimizer deletes
+/// — but only where it can see that source and destination coincide, that
+/// is, where the whole in-place collect is inlined. Collecting into a
+/// `Box<[_]>` directly calls `Box`'s `from_iter`, which is not
+/// `#[inline]`: depending on how the crate happened to be split into
+/// codegen units it ran out of line, kept the copy, and faulted in every
+/// page (a 24 MB `TMem` went resident on construction). `Vec`'s
+/// `from_iter` and the in-place path below it are `#[inline]`, so they are
+/// compiled into this function whatever the partitioning. The function
+/// itself is never inlined, so no caller's code changes how it compiles.
+/// `hcf-tmem`'s `lazy_zero` test checks the result on optimized builds.
+#[inline(never)]
+pub fn zeroed_atomics(n: usize) -> Box<[AtomicU64]> {
+    let atomics: Vec<AtomicU64> = vec![0u64; n].into_iter().map(AtomicU64::new).collect();
+    atomics.into_boxed_slice()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn zeroed_atomics_are_zero() {
+        assert!(zeroed_atomics(0).is_empty());
+        let a = zeroed_atomics(1000);
+        assert_eq!(a.len(), 1000);
+        assert!(a.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+    }
 
     #[test]
     fn layout_isolates_neighbours() {
