@@ -14,9 +14,10 @@ cargo build --release --offline --workspace
 echo "==> test (offline, workspace)"
 cargo test -q --offline --workspace
 
-echo "==> test (release, offline): exact striped counts, allocator and lazy TMem zeroing on optimized code"
+echo "==> test (release, offline): exact striped counts, allocator, lazy TMem zeroing, exactly-once across arm switches"
 cargo test -q --release --offline -p hcf-util -p hcf-tmem
-cargo test -q --release --offline -p hcf-core --test exec_stats_exact
+cargo test -q --release --offline -p hcf-core --test exec_stats_exact --test arm_selector
+cargo test -q --release --offline -p hcf-ds --test pq_arm_switch
 
 echo "==> rustdoc (offline, warning-free)"
 RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps --offline --workspace

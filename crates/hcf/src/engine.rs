@@ -261,6 +261,11 @@ impl<D: DataStructure> HcfEngine<D> {
             self.stats.completed(aid, Phase::Private);
             return res;
         }
+        if arm == Arm::Fc {
+            if let Some(res) = self.run_alone(&op, aid) {
+                return res;
+            }
+        }
 
         // Announce: record (op, then status) first, then the slot; a
         // combiner that observes the slot finds the op in the record.
@@ -280,6 +285,36 @@ impl<D: DataStructure> HcfEngine<D> {
 
         // Phases 3 and 4: TryCombining, CombineUnderLock.
         self.combine(op, tid, aid, &pol)
+    }
+
+    /// The FC arm's degree-1 fast path: when no slot of any array is
+    /// announced and the data-structure lock is free, apply `op` under the
+    /// lock without announcing it, as `LockExecutor` would. Otherwise
+    /// `None`, and the op takes the announce → select → combine path.
+    ///
+    /// Exactly-once holds trivially: the op is never published, so no
+    /// combiner can select it. Isolation is phase 4's: every transaction
+    /// subscribes to `self.lock` first (`attempt`), and `try_lock`
+    /// quiesces write-backs as `lock` does. The scan is only a racy hint
+    /// that no announced op is waiting for a combiner; an op announced
+    /// just after it is combined as usual once the lock is free. The op
+    /// counts as a degree-1 session completed under one lock acquisition,
+    /// so the stats read as if it had combined alone.
+    fn run_alone(&self, op: &D::Op, aid: usize) -> Option<D::Res> {
+        let rt = self.rt.as_ref();
+        if self.arrays.iter().any(|pa| pa.any_announced(rt)) {
+            return None;
+        }
+        let acquired = self.lock.try_lock(rt)?;
+        let res = self
+            .ds
+            .run_seq(&mut DirectCtx::under_lock(&self.mem, rt, acquired), op)
+            .expect("run_seq cannot abort under the lock");
+        self.lock.unlock(rt);
+        self.stats.session(aid, 1);
+        self.stats.lock_acquired();
+        self.stats.completed(aid, Phase::Lock);
+        Some(res)
     }
 
     /// One speculative attempt: runs `body` in a transaction subscribed to
@@ -553,7 +588,7 @@ impl<D: DataStructure> crate::executor::Executor<D> for HcfEngine<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcf_tmem::{Addr, MemCtx, RealRuntime, TMemConfig};
+    use hcf_tmem::{Addr, MemCtx, RealRuntime, Runtime, TMemConfig};
 
     /// Counters with per-op array routing: even slots -> array 0, odd ->
     /// array 1. Lets tests drive multi-array behaviour.
@@ -631,6 +666,42 @@ mod tests {
         assert_eq!(s.completed_by_phase(), [0, 0, 0, 2]);
         assert_eq!(s.lock_acqs, 2);
         assert_eq!(s.htm_attempts, 0);
+    }
+
+    #[test]
+    fn fc_arm_alone_takes_the_lock_without_announcing() {
+        let (_m, rt, e) = setup(2, HcfConfig::new(4));
+        for i in 0..10 {
+            assert_eq!(e.run(COp::Add(0, 1), Arm::Fc), i + 1);
+        }
+        assert_eq!(e.run(COp::Get(1), Arm::Fc), 0);
+        // Counted as if each op had combined alone under the lock.
+        let s = e.stats();
+        assert_eq!(s.completed_by_phase(), [0, 0, 0, 11]);
+        assert_eq!(s.lock_acqs, 11);
+        assert_eq!(s.htm_attempts, 0);
+        assert_eq!((s.arrays[0].sessions, s.arrays[1].sessions), (10, 1));
+        assert_eq!(s.arrays[0].degree_hist[0], 10);
+        assert!((s.avg_degree() - 1.0).abs() < 1e-12);
+        assert!(!e.ds_lock().is_locked(rt.as_ref()));
+        // Nothing was announced, so no publication record exists.
+        assert!(e.recs.iter().all(|r| r.get().is_none()));
+    }
+
+    #[test]
+    fn fc_arm_announces_while_any_array_has_an_announcement() {
+        let (_m, rt, e) = setup(2, HcfConfig::new(4));
+        // A stale announcement on array 1 (thread 3 never runs) sends an
+        // array-0 op down the combining path, which scans array 0 only.
+        e.arrays[1].announce(rt.as_ref(), 3);
+        assert_eq!(e.run(COp::Add(0, 1), Arm::Fc), 1);
+        let tid = rt.thread_id();
+        assert!(e.recs[tid].get().is_some(), "the op was announced");
+        e.arrays[1].clear(rt.as_ref(), 3);
+        assert_eq!(e.run(COp::Add(0, 1), Arm::Fc), 2);
+        let s = e.stats();
+        assert_eq!(s.completed_by_phase(), [0, 0, 0, 2]);
+        assert_eq!((s.lock_acqs, s.arrays[0].sessions), (2, 2));
     }
 
     #[test]

@@ -86,6 +86,11 @@ impl PubArray {
         self.mem.read_direct(rt, self.slot(tid)) != 0
     }
 
+    /// Racy snapshot of whether any thread has an announcement here.
+    pub fn any_announced(&self, rt: &dyn Runtime) -> bool {
+        (0..self.max_threads).any(|t| self.is_announced(rt, t))
+    }
+
     /// Scans all slots in ascending thread-id order, appending the ids
     /// with announcements to `out`. Callers must hold the selection lock
     /// for the result to be stable (new announcements may still appear;
@@ -135,6 +140,7 @@ mod tests {
     fn announce_scan_clear() {
         let (_m, rt, pa) = setup();
         assert!(scanned(&pa, &rt).is_empty());
+        assert!(!pa.any_announced(&rt));
         pa.announce(&rt, 5);
         pa.announce(&rt, 3);
         assert_eq!(scanned(&pa, &rt), vec![3, 5], "ascending, appended");
@@ -142,6 +148,9 @@ mod tests {
         pa.clear(&rt, 3);
         assert_eq!(scanned(&pa, &rt), vec![5]);
         assert!(!pa.is_announced(&rt, 3));
+        assert!(pa.any_announced(&rt));
+        pa.clear(&rt, 5);
+        assert!(!pa.any_announced(&rt));
     }
 
     #[test]

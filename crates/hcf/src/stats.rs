@@ -27,7 +27,9 @@ pub enum Phase {
     Visible = 1,
     /// Applied by a combiner on HTM in the TryCombining phase.
     Combining = 2,
-    /// Applied by a combiner holding the lock (CombineUnderLock).
+    /// Applied by a combiner holding the lock (CombineUnderLock),
+    /// including the FC arm's unannounced degree-1 ops (counted as a
+    /// session of one).
     Lock = 3,
 }
 

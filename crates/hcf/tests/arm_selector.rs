@@ -62,9 +62,29 @@ impl Runtime for Scripted {
     }
 }
 
-/// Two counters, each in its own publication array.
+/// Two counters, each in its own publication array. Also counts how
+/// operations reach the lock: `run_seq` on a direct context is the FC
+/// arm's degree-1 fast path, `run_multi` on one is a combining session
+/// in phase 4.
 struct Counters {
     base: Addr,
+    alone: AtomicU64,
+    sessions_under_lock: AtomicU64,
+    combined_under_lock: AtomicU64,
+}
+
+impl Counters {
+    fn apply(&self, ctx: &mut dyn MemCtx, op: &COp) -> TxResult<u64> {
+        match *op {
+            COp::Add(s) => {
+                let a = self.base + s % 2;
+                let v = ctx.read(a)? + 1;
+                ctx.write(a, v)?;
+                Ok(v)
+            }
+            COp::Get(s) => ctx.read(self.base + s % 2),
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -88,22 +108,40 @@ impl DataStructure for Counters {
     }
 
     fn run_seq(&self, ctx: &mut dyn MemCtx, op: &COp) -> TxResult<u64> {
-        match *op {
-            COp::Add(s) => {
-                let a = self.base + s % 2;
-                let v = ctx.read(a)? + 1;
-                ctx.write(a, v)?;
-                Ok(v)
-            }
-            COp::Get(s) => ctx.read(self.base + s % 2),
+        if !ctx.is_transactional() {
+            self.alone.fetch_add(1, Ordering::Relaxed);
         }
+        self.apply(ctx, op)
+    }
+
+    fn run_multi(
+        &self,
+        ctx: &mut dyn MemCtx,
+        ops: &[COp],
+        out: &mut Vec<(usize, u64)>,
+    ) -> TxResult<()> {
+        if !ctx.is_transactional() {
+            self.sessions_under_lock.fetch_add(1, Ordering::Relaxed);
+            self.combined_under_lock
+                .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        }
+        for (i, op) in ops.iter().enumerate() {
+            out.push((i, self.apply(ctx, op)?));
+        }
+        Ok(())
     }
 }
 
 fn engine(rt: &Arc<Scripted>, cfg: HcfConfig) -> HcfEngine<Counters> {
     let mem = Arc::new(TMem::new(TMemConfig::small_word_granular()));
     let base = mem.alloc_direct(2).unwrap();
-    HcfEngine::new(Arc::new(Counters { base }), mem, rt.clone(), cfg).unwrap()
+    let ds = Counters {
+        base,
+        alone: AtomicU64::new(0),
+        sessions_under_lock: AtomicU64::new(0),
+        combined_under_lock: AtomicU64::new(0),
+    };
+    HcfEngine::new(Arc::new(ds), mem, rt.clone(), cfg).unwrap()
 }
 
 /// Never completes in TryPrivate, so the selector has something to win.
@@ -190,6 +228,9 @@ fn the_fc_and_tle_fc_baselines_never_switch() {
     }
 }
 
+/// Four threads cross arm switches while FC-arm ops mix the degree-1
+/// fast path with announced ops that combiners apply under the same
+/// lock; every op must still apply exactly once.
 #[test]
 fn switching_arms_under_load_keeps_exactly_once() {
     let rt = Scripted::new(false);
@@ -202,11 +243,13 @@ fn switching_arms_under_load_keeps_exactly_once() {
             s.spawn(move || {
                 let mut x = t + 1;
                 for i in 0..per {
-                    // Pseudo-random steps (xorshift), so decisions flip.
+                    // Pseudo-random steps (xorshift) around a cheaper FC
+                    // arm, so the configured arm is re-probed on schedule.
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    rt.step.store(500 + x % 2000, Ordering::Relaxed);
+                    let base = [1500, 800][e.arm() as usize];
+                    rt.step.store(base + x % 1000, Ordering::Relaxed);
                     e.execute(COp::Add(t + i));
                 }
             });
@@ -216,6 +259,18 @@ fn switching_arms_under_load_keeps_exactly_once() {
     assert_eq!(total, threads * per);
     let st = e.stats();
     assert_eq!(st.total_ops(), threads * per + 2);
-    // The first closed epoch always probes the FC arm.
-    assert!(st.arm.switches >= 1, "{:?}", st.arm);
+    // 12 epochs: FC probed after the first, the configured arm re-probed
+    // after 2 and 4 FC epochs.
+    assert!(st.arm.switches >= 3, "{:?}", st.arm);
+
+    let ds = e.ds();
+    let alone = ds.alone.load(Ordering::Relaxed);
+    let sessions = ds.sessions_under_lock.load(Ordering::Relaxed);
+    let combined = ds.combined_under_lock.load(Ordering::Relaxed);
+    assert!(alone > 0, "no op took the fast path");
+    assert!(sessions > 0, "no announced op reached the lock");
+    // A fast-path op counts as one lock acquisition and one lock-phase
+    // completion, like a phase-4 session (one `run_multi` call here).
+    assert_eq!(st.lock_acqs, alone + sessions);
+    assert_eq!(st.completed_by_phase()[3], alone + combined);
 }

@@ -448,10 +448,37 @@ mod under_lock_tests {
         assert_eq!((m.read_direct(&rt, x), m.read_direct(&rt, y)), (3, 2));
     }
 
+    /// How a test acquires the lock: [`ElidableLock::lock`], or an
+    /// uncontended [`ElidableLock::try_lock`], which must isolate the
+    /// holder in the same way.
+    type Acquire = fn(&ElidableLock, &dyn Runtime) -> LockVersion;
+
+    fn try_acquire(lock: &ElidableLock, rt: &dyn Runtime) -> LockVersion {
+        lock.try_lock(rt).expect("the lock is free")
+    }
+
     /// (a) A transaction that read a line before the acquisition aborts at
     /// its next read of a line the holder wrote.
     #[test]
     fn reader_from_before_the_acquisition_aborts_at_a_holder_line() {
+        reader_from_before_aborts(ElidableLock::lock);
+    }
+
+    /// (b) A transaction that begins after the acquisition aborts when it
+    /// subscribes, although the holder's lines are not above its snapshot.
+    #[test]
+    fn transaction_begun_after_the_acquisition_aborts_at_subscription() {
+        transaction_begun_after_aborts(ElidableLock::lock);
+    }
+
+    /// (a) and (b) for a holder that acquired with `try_lock`.
+    #[test]
+    fn a_try_lock_acquisition_isolates_the_holder_like_lock() {
+        reader_from_before_aborts(try_acquire);
+        transaction_begun_after_aborts(try_acquire);
+    }
+
+    fn reader_from_before_aborts(acquire: Acquire) {
         let (m, rt, lock) = setup();
         let (x, y) = (m.alloc_direct(1).unwrap(), m.alloc_direct(1).unwrap());
         let mut tx = m.begin(&rt);
@@ -460,7 +487,7 @@ mod under_lock_tests {
             c.subscribe(&lock).unwrap();
             assert_eq!(c.read(x).unwrap(), 0);
         }
-        let acquired = lock.lock(&rt);
+        let acquired = acquire(&lock, &rt);
         {
             let mut d = DirectCtx::under_lock(&m, &rt, acquired);
             d.write(x, 1).unwrap();
@@ -471,13 +498,10 @@ mod under_lock_tests {
         lock.unlock(&rt);
     }
 
-    /// (b) A transaction that begins after the acquisition aborts when it
-    /// subscribes, although the holder's lines are not above its snapshot.
-    #[test]
-    fn transaction_begun_after_the_acquisition_aborts_at_subscription() {
+    fn transaction_begun_after_aborts(acquire: Acquire) {
         let (m, rt, lock) = setup();
         let x = m.alloc_direct(1).unwrap();
-        let acquired = lock.lock(&rt);
+        let acquired = acquire(&lock, &rt);
         DirectCtx::under_lock(&m, &rt, acquired)
             .write(x, 7)
             .unwrap();

@@ -110,22 +110,21 @@ impl ElidableLock {
     }
 
     /// Tries to acquire the lock without spinning. On success the same
-    /// quiesce guarantee as [`ElidableLock::lock`] holds.
-    pub fn try_lock(&self, rt: &dyn Runtime) -> bool {
+    /// quiesce guarantee as [`ElidableLock::lock`] holds, and the version
+    /// the acquisition published is returned as `lock` returns it.
+    pub fn try_lock(&self, rt: &dyn Runtime) -> Option<LockVersion> {
         let tag = rt.thread_id() as u64 + 1;
-        if self.mem.read_direct(rt, self.word) == 0
-            && self.mem.cas_direct(rt, self.word, 0, tag).is_ok()
-        {
-            #[cfg(feature = "txsan")]
-            crate::san::log(crate::san::SanEvent::LockAcquired {
-                tid: rt.thread_id() as u64,
-                word: self.word.0,
-            });
-            self.mem.quiesce(rt);
-            true
-        } else {
-            false
+        if self.mem.read_direct(rt, self.word) != 0 {
+            return None;
         }
+        let acquired = LockVersion(self.mem.cas_direct(rt, self.word, 0, tag).ok()?);
+        #[cfg(feature = "txsan")]
+        crate::san::log(crate::san::SanEvent::LockAcquired {
+            tid: rt.thread_id() as u64,
+            word: self.word.0,
+        });
+        self.mem.quiesce(rt);
+        Some(acquired)
     }
 
     /// Releases the lock.
@@ -190,12 +189,13 @@ mod tests {
         l.lock(rt.as_ref());
         let l2 = l.clone();
         let rt2 = rt.clone();
-        let failed = std::thread::spawn(move || !l2.try_lock(rt2.as_ref()))
+        let failed = std::thread::spawn(move || l2.try_lock(rt2.as_ref()).is_none())
             .join()
             .unwrap();
         assert!(failed);
         l.unlock(rt.as_ref());
-        assert!(l.try_lock(rt.as_ref()));
+        let acquired = l.try_lock(rt.as_ref()).expect("the lock is free");
+        assert_eq!(l.mem.clock(), acquired.get(), "as `lock` returns it");
         l.unlock(rt.as_ref());
     }
 

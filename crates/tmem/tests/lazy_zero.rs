@@ -1,11 +1,10 @@
 //! A fresh `TMem` costs address space, not resident memory: its word and
 //! orec arrays come from the zeroed allocator and construction writes no
 //! page of them. Whether the conversion to atomics compiles to nothing is
-//! up to the optimizer, so this runs on optimized builds only (`ci.sh`'s
-//! release step), alone in its own test binary so no other test's
-//! allocations move the process's RSS meanwhile.
-
-#![cfg(not(debug_assertions))]
+//! up to the optimizer; the workspace's dev profile optimizes `hcf-util`
+//! for it, so this holds, and runs, in debug and release builds alike. It
+//! runs alone in its own test binary so no other test's allocations move
+//! the process's RSS meanwhile.
 
 use hcf_tmem::{TMem, TMemConfig};
 

@@ -137,7 +137,7 @@ fn trylock_failure_leaves_subscribers_alone() {
     {
         let w2 = w.clone();
         let rt2 = rt.clone();
-        std::thread::spawn(move || assert!(!w2.lock.try_lock(rt2.as_ref())))
+        std::thread::spawn(move || assert!(w2.lock.try_lock(rt2.as_ref()).is_none()))
             .join()
             .unwrap();
     }

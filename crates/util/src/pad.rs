@@ -276,7 +276,10 @@ impl<T> fmt::Debug for Striped<T> {
 /// `from_iter` and the in-place path below it are `#[inline]`, so they are
 /// compiled into this function whatever the partitioning. The function
 /// itself is never inlined, so no caller's code changes how it compiles.
-/// `hcf-tmem`'s `lazy_zero` test checks the result on optimized builds.
+/// Debug assertions keep the copy too (they add checks to the in-place
+/// path), so the workspace's dev profile builds this crate at opt-level 2
+/// without them. `hcf-tmem`'s `lazy_zero` test checks the result in both
+/// profiles.
 #[inline(never)]
 pub fn zeroed_atomics(n: usize) -> Box<[AtomicU64]> {
     let atomics: Vec<AtomicU64> = vec![0u64; n].into_iter().map(AtomicU64::new).collect();
