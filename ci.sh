@@ -50,6 +50,9 @@ echo "==> perfbench engine-pq (3 s): conservation holds across real arm switches
 cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
 perfbench/target/release/perfbench --workload engine-pq --seconds 3 >/dev/null
 
+echo "==> perfbench kv-write (2 s): pipelined preload and final sweep match the model"
+perfbench/target/release/perfbench --workload kv-write --seconds 2 >/dev/null
+
 echo "==> hcf-core's own tests with txsan compiled in (record identities, force_status)"
 cargo test -q --offline -p hcf-core --features txsan
 

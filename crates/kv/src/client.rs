@@ -3,22 +3,28 @@
 //! One request, one reply, in order — the transport is a plain
 //! length-prefixed frame stream, so a client that wants pipelining can
 //! use [`KvClient::send`] / [`KvClient::recv`] directly and keep
-//! several requests in flight (the bench does exactly that).
+//! several requests in flight (perfbench's preload and final sweep do;
+//! `kvbench` never pipelines).
+//!
+//! [`KvClient::send`] only queues a request. The queue goes out in one
+//! write when [`KvClient::recv`] is about to block on the socket, on
+//! [`KvClient::flush`], once it holds more than
+//! [`FLUSH_BOUND`](hcf_util::frame::FLUSH_BOUND) bytes, or when the
+//! client is dropped. A closed loop (one request in flight) makes the
+//! same write and read calls as writing each request at once.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use hcf_util::frame::{read_frame, write_frame_owned, FrameLimits};
+use hcf_util::frame::{read_frame, FlushOnRead, FrameLimits};
 
 use crate::proto::{Command, Reply};
 
 /// A blocking connection to a KV server.
 #[derive(Debug)]
 pub struct KvClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: BufReader<FlushOnRead<TcpStream>>,
     limits: FrameLimits,
-    scratch: Vec<u8>,
 }
 
 impl KvClient {
@@ -40,34 +46,41 @@ impl KvClient {
     pub fn connect_with(addr: impl ToSocketAddrs, limits: FrameLimits) -> io::Result<KvClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(KvClient {
-            reader,
-            writer: stream,
+            conn: BufReader::new(FlushOnRead::new(stream)),
             limits,
-            scratch: Vec::with_capacity(256),
         })
     }
 
-    /// Sends a request without waiting for the reply (pipelining).
+    /// Queues a request without waiting for the reply (pipelining). It
+    /// is sent by the next [`KvClient::recv`] that has to read, by
+    /// [`KvClient::flush`], or at once if the queue passes its bound.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors.
     pub fn send(&mut self, cmd: &Command) -> io::Result<()> {
-        self.scratch.clear();
-        write_frame_owned(&mut self.scratch, &cmd.to_args())?;
-        self.writer.write_all(&self.scratch)
+        self.conn.get_mut().queue_frame(&cmd.to_args())
     }
 
-    /// Receives the next in-order reply.
+    /// Sends every queued request now.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket write errors.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.conn.get_mut().flush()
+    }
+
+    /// Receives the next in-order reply, first sending every queued
+    /// request if the reply has not arrived yet.
     ///
     /// # Errors
     ///
     /// `UnexpectedEof` if the server closed the connection;
     /// `InvalidData` for malformed frames or replies.
     pub fn recv(&mut self) -> io::Result<Reply> {
-        let args = read_frame(&mut self.reader, self.limits)?
+        let args = read_frame(&mut self.conn, self.limits)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         Reply::parse(&args).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
     }

@@ -40,10 +40,22 @@
 //! the native driver) and declares the server stalled only when some
 //! accepted request is still unanswered yet no shard completes anything
 //! for [`KvConfig::watchdog_ms`].
+//!
+//! A connection's replies coalesce until it would block: each reply is
+//! queued in the connection's [`FlushOnRead`], and the queue goes out in
+//! one write just before the next read of the socket. The connection's
+//! `BufReader` reads only when its buffer is empty, so the replies to
+//! every request one read brought in share a single write, while a
+//! client with one request in flight sees the same write per reply as
+//! before. The queue is written out when the connection thread ends,
+//! and before a `SHUTDOWN` starts the drain.
+//!
+//! The acceptor blocks in `accept`; shutdown wakes it with a loopback
+//! connection of its own.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,7 +66,7 @@ use hcf_ds::HashTable;
 use hcf_sim::progress::{Liveness, ProgressMeter, StallTracker};
 use hcf_tmem::runtime::Runtime;
 use hcf_tmem::{DirectCtx, RealRuntime, TMem, TMemConfig};
-use hcf_util::frame::{read_frame, write_frame_owned, FrameLimits};
+use hcf_util::frame::{read_frame, FlushOnRead, FrameLimits};
 use hcf_util::shard::{shard_of, table_key};
 use hcf_util::sync::Mutex;
 
@@ -69,6 +81,10 @@ use crate::store::{decode_value, encode_value, Arena, KvBatch, KvOp, KvRes, KvSh
 /// connection thread sharing one core (EXPERIMENTS.md, "Claiming the
 /// shard"). Timed with the server's runtime clock.
 const SPIN_NS: u64 = 20_000;
+
+/// How long one connect that wakes the acceptor may take. A wake that
+/// times out is repeated by `join`.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Server configuration. `Default` gives a loopback server on an
 /// ephemeral port with 8 shards.
@@ -339,6 +355,9 @@ impl std::error::Error for KvError {}
 
 struct ServerInner {
     cfg: KvConfig,
+    /// The listener's address, which [`ServerInner::wake_acceptor`]
+    /// connects to.
+    addr: SocketAddr,
     shards: Vec<KvShard>,
     /// Requests answered per shard (the watchdog's progress).
     meter: ProgressMeter,
@@ -362,6 +381,21 @@ impl ServerInner {
         for shard in &self.shards {
             shard.queue.close();
         }
+        self.wake_acceptor();
+    }
+
+    /// Connects to the listener once, so an acceptor blocked in `accept`
+    /// returns and sees `stop`. A failed connect is ignored: `join`
+    /// repeats the wake until the acceptor has exited.
+    fn wake_acceptor(&self) {
+        let mut addr = self.addr;
+        // A wildcard bind accepts on loopback too.
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
     }
 
     /// Requests accepted but not yet answered, across all shards. The
@@ -588,9 +622,9 @@ impl KvServer {
 
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let inner = Arc::new(ServerInner {
+            addr,
             meter: ProgressMeter::new(shards.len()),
             shards,
             stop: AtomicBool::new(false),
@@ -670,7 +704,17 @@ impl KvServer {
         let (conn_threads, reaped_panic) = self
             .acceptor
             .take()
-            .map(|h| h.join().expect("kv acceptor panicked"))
+            .map(|h| {
+                // `begin_shutdown` woke the acceptor once; wake it again
+                // until it is gone, in case that connect failed.
+                while !h.is_finished() {
+                    std::thread::sleep(Duration::from_millis(1));
+                    if !h.is_finished() {
+                        self.inner.wake_acceptor();
+                    }
+                }
+                h.join().expect("kv acceptor panicked")
+            })
             .unwrap_or_default();
         // The monitor returns once every accepted request is answered,
         // or after it declared a stall.
@@ -767,14 +811,15 @@ fn acceptor_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> (Vec<JoinH
     let mut reaped_panic = false;
     let mut next_id = 0u64;
     loop {
+        let accepted = listener.accept();
+        // Shutdown wakes this thread with a connection of its own, which
+        // is dropped here unserved.
         if inner.stop.load(Ordering::Acquire) {
             return (threads, reaped_panic);
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                // The listener is non-blocking (for the stop poll); the
-                // accepted connection must block normally.
-                if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
+                if stream.set_nodelay(true).is_err() {
                     continue;
                 }
                 // Reap the connection threads that ended, so `threads`
@@ -790,9 +835,6 @@ fn acceptor_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> (Vec<JoinH
                 let inner = inner.clone();
                 threads.push(std::thread::spawn(move || conn_loop(&inner, id, stream)));
             }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
             Err(_) => return (threads, reaped_panic),
         }
     }
@@ -804,31 +846,29 @@ fn conn_loop(inner: &Arc<ServerInner>, id: u64, stream: TcpStream) {
 }
 
 fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut out_buf: Vec<u8> = Vec::with_capacity(256);
+    // Each read of `conn` first writes out the replies queued so far.
+    let mut conn = BufReader::new(FlushOnRead::new(stream));
     // The loop ends on clean disconnect, framing violation, or the
     // shutdown kick (socket shutdown turns the blocked read into Err).
-    while let Ok(Some(args)) = read_frame(&mut reader, inner.cfg.limits) {
+    while let Ok(Some(args)) = read_frame(&mut conn, inner.cfg.limits) {
         let (reply, shutdown) = match Command::parse(&args) {
             Ok(Command::Shutdown) => (Reply::Ok, true),
             Ok(cmd) => (inner.handle(cmd), false),
             Err(msg) => (Reply::Err(msg), false),
         };
-        out_buf.clear();
-        // Infallible: writing into a Vec.
-        write_frame_owned(&mut out_buf, &reply.to_args()).expect("vec write");
-        if writer.write_all(&out_buf).is_err() {
+        if conn.get_mut().queue_frame(&reply.to_args()).is_err() {
             break;
         }
         if shutdown {
+            // The client hears OK before the drain begins.
+            let _ = conn.get_mut().flush();
             inner.begin_shutdown();
             break;
         }
     }
+    // Dropping `conn` writes out the replies still queued, so a peer
+    // whose last frame is malformed still gets the replies to the
+    // frames before it.
 }
 
 fn monitor_loop(inner: &Arc<ServerInner>) {

@@ -3,9 +3,13 @@
 //! model, then a clean drain-and-join shutdown.
 
 use std::collections::HashMap;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use hcf_kv::store::{parse_inline_int, INLINE_TAG};
 use hcf_kv::{Command, KvClient, KvConfig, KvError, KvServer, Reply};
+use hcf_util::frame::{read_frame, write_frame_owned, FrameLimits, FLUSH_BOUND};
 use hcf_util::rng::{Rng, SplitMix64};
 
 /// What the sequential model expects INCR to do (mirrors the tagged
@@ -262,7 +266,7 @@ fn open_fds() -> usize {
 #[test]
 fn closed_connections_release_their_descriptors() {
     // 200 sequential connect / SET / close cycles. Each connection holds
-    // three server-side descriptors while it lives; all must go when the
+    // two server-side descriptors while it lives; both must go when the
     // client closes, or a long-running server runs out of them. Other
     // tests of this binary open sockets too, so the count is polled
     // until it settles rather than read once.
@@ -287,4 +291,173 @@ fn closed_connections_release_their_descriptors() {
     let mut client = KvClient::connect(addr).expect("connect");
     client.shutdown().expect("SHUTDOWN");
     server.join().expect("clean join");
+}
+
+/// The reply a sequential model of the server gives to `cmd` (SET, GET,
+/// INCR and DEL only).
+fn model_reply(model: &mut HashMap<Vec<u8>, Vec<u8>>, cmd: &Command) -> Reply {
+    match cmd {
+        Command::Set(k, v) => {
+            model.insert(k.clone(), v.clone());
+            Reply::Ok
+        }
+        Command::Get(k) => model.get(k).map_or(Reply::Nil, |v| Reply::Val(v.clone())),
+        Command::Incr(k) => match model_incr(model, k) {
+            Some(n) => Reply::Int(n),
+            None => Reply::Err("value is not an integer".into()),
+        },
+        Command::Del(k) => Reply::Int(u64::from(model.remove(k).is_some())),
+        other => unreachable!("not modelled: {other:?}"),
+    }
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within `secs`, so a hang shows as a failure.
+fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let h = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        // A body that panicked dropped `tx`; joining re-raises the panic.
+        Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            h.join().expect("test body");
+        }
+        Err(e) => panic!("did not finish within {secs} s: {e}"),
+    }
+}
+
+#[test]
+fn a_deep_pipeline_is_answered_in_order() {
+    let server = KvServer::start(KvConfig::default().with_shards(4)).expect("server start");
+    let addr = server.local_addr();
+    within(30, move || {
+        let mut client = KvClient::connect(addr).expect("connect");
+        let mut rng = SplitMix64::new(0x919E);
+        let mut model = HashMap::new();
+        for round in 0..4 {
+            let cmds: Vec<Command> = (0..64)
+                .map(|i| {
+                    let k = format!("p{}", rng.next_u64() % 8).into_bytes();
+                    match rng.next_u64() % 4 {
+                        0 => Command::Set(k, format!("r{round}i{i}\n").into_bytes()),
+                        1 => Command::Get(k),
+                        2 => Command::Incr(k),
+                        _ => Command::Del(k),
+                    }
+                })
+                .collect();
+            for cmd in &cmds {
+                client.send(cmd).expect("send");
+            }
+            for (i, cmd) in cmds.iter().enumerate() {
+                let want = model_reply(&mut model, cmd);
+                let got = client.recv().expect("recv");
+                assert_eq!(got, want, "round {round}, reply {i} to {cmd:?}");
+            }
+        }
+        client.shutdown().expect("SHUTDOWN");
+    });
+    server.join().expect("clean join");
+}
+
+#[test]
+fn replies_before_a_malformed_frame_are_delivered() {
+    let server = KvServer::start(KvConfig::default().with_shards(2)).expect("server start");
+    let addr = server.local_addr();
+    within(30, move || {
+        let mut wire = Vec::new();
+        for i in 0..16u64 {
+            let cmd = Command::Incr(b"ctr".to_vec());
+            write_frame_owned(&mut wire, &cmd.to_args()).unwrap();
+            if i == 7 {
+                // A bad command is answered with ERR; only bad framing
+                // ends the connection.
+                write_frame_owned(&mut wire, &[b"NOPE".to_vec()]).unwrap();
+            }
+        }
+        wire.extend_from_slice(b"*1\n$x\n");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&wire).expect("write");
+        let mut r = BufReader::new(stream);
+        let mut got = Vec::new();
+        while let Ok(Some(args)) = read_frame(&mut r, FrameLimits::default()) {
+            got.push(Reply::parse(&args).expect("reply"));
+        }
+        let mut want: Vec<Reply> = (1..=16).map(Reply::Int).collect();
+        want.insert(8, Reply::Err("unknown command \"NOPE\"".into()));
+        assert_eq!(got, want);
+    });
+    server.begin_shutdown();
+    server.join().expect("clean join");
+}
+
+#[test]
+fn a_request_split_across_writes_is_answered() {
+    let server = KvServer::start(KvConfig::default().with_shards(2)).expect("server start");
+    let addr = server.local_addr();
+    within(30, move || {
+        let mut wire = Vec::new();
+        write_frame_owned(&mut wire, &Command::Get(b"k".to_vec()).to_args()).unwrap();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut r = BufReader::new(stream.try_clone().expect("clone"));
+        // Split inside a header, then inside the payload.
+        for (from, to) in [(0, 7), (7, 12), (12, wire.len())] {
+            stream.write_all(&wire[from..to]).expect("write");
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        let args = read_frame(&mut r, FrameLimits::default())
+            .expect("read")
+            .expect("reply");
+        assert_eq!(Reply::parse(&args), Ok(Reply::Nil));
+    });
+    server.begin_shutdown();
+    server.join().expect("clean join");
+}
+
+#[test]
+fn sends_past_the_flush_bound_are_all_answered() {
+    let server = KvServer::start(KvConfig::default().with_shards(4)).expect("server start");
+    let addr = server.local_addr();
+    within(30, move || {
+        const N: usize = 2_000;
+        let set =
+            |i: usize| Command::Set(format!("b{i}").into_bytes(), format!("v{i}").into_bytes());
+        let mut one = Vec::new();
+        write_frame_owned(&mut one, &set(0).to_args()).unwrap();
+        assert!(N * one.len() > 4 * FLUSH_BOUND, "N does not pass the bound");
+
+        let mut client = KvClient::connect(addr).expect("connect");
+        for i in 0..N {
+            client.send(&set(i)).expect("send");
+        }
+        for i in 0..N {
+            assert_eq!(client.recv().expect("recv"), Reply::Ok, "SET {i}");
+        }
+        for i in 0..N {
+            client
+                .send(&Command::Get(format!("b{i}").into_bytes()))
+                .expect("send");
+        }
+        client.flush().expect("flush");
+        for i in 0..N {
+            let want = Reply::Val(format!("v{i}").into_bytes());
+            assert_eq!(client.recv().expect("recv"), want, "GET {i}");
+        }
+        client.shutdown().expect("SHUTDOWN");
+    });
+    server.join().expect("clean join");
+}
+
+#[test]
+fn a_server_that_never_saw_a_connection_joins() {
+    let server = KvServer::start(KvConfig::default().with_shards(1)).expect("server start");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.begin_shutdown();
+        let _ = tx.send(server.join().is_ok());
+    });
+    assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
 }
