@@ -14,7 +14,7 @@ cargo build --release --offline --workspace
 echo "==> test (offline, workspace)"
 cargo test -q --offline --workspace
 
-echo "==> test (release, offline): exact striped counts, allocator, lazy TMem zeroing, exactly-once across arm switches"
+echo "==> test (release, offline): exact striped counts (Striped, ExecStats), allocator, lazy TMem zeroing, exactly-once across arm switches"
 cargo test -q --release --offline -p hcf-util -p hcf-tmem
 cargo test -q --release --offline -p hcf-core --test exec_stats_exact --test arm_selector
 cargo test -q --release --offline -p hcf-ds --test pq_arm_switch
@@ -41,6 +41,16 @@ for bin in figure2 figure5 extra_pq; do
     cargo run -q --release --offline -p hcf-bench --bin "$bin" >/dev/null
 done
 (cd target/figures && sha256sum --check --strict ../../data/lockstep_golden.sha256)
+
+echo "==> lockstep fidelity, debug build: reduced figure2/extra_pq CSVs match the same digests"
+# Debug-only checks read through peeks that the cost model never sees,
+# so a debug build simulates the same machine as a release build.
+for bin in figure2 extra_pq; do
+  env -u HCF_SEED HCF_DURATION=200000 HCF_THREADS=1,8,36 \
+    cargo run -q --offline -p hcf-bench --bin "$bin" >/dev/null
+done
+(cd target/figures && grep -E ' (figure2|extra_pq)\.csv$' ../../data/lockstep_golden.sha256 |
+  sha256sum --check --strict)
 
 echo "==> perfbench: the repository benchmark's own tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -139,7 +139,7 @@ impl SkipListPq {
         // The minimum is the first node of every level it participates in.
         for l in 0..level {
             let succ = ctx.read(Self::node_next(first, l))?;
-            debug_assert_eq!(ctx.read(self.head_next(l))?, first.0);
+            debug_assert!(ctx.peek(self.head_next(l)).is_none_or(|h| h == first.0));
             ctx.write(self.head_next(l), succ)?;
         }
         ctx.free(first, 3 + level);

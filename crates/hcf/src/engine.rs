@@ -483,7 +483,7 @@ impl<D: DataStructure> HcfEngine<D> {
         let rt = self.rt.as_ref();
         let pa = &self.arrays[aid];
 
-        debug_assert!(pa.is_announced(rt, tid), "own slot vanished");
+        debug_assert_ne!(self.mem.peek(pa.slot(tid)), 0, "own slot vanished");
         self.rec(tid).set_status(OpStatus::BeingHelped);
         pa.clear(rt, tid);
         tids.push(tid);

@@ -3,13 +3,18 @@
 //! These power the paper's diagnostic figures: per-phase completion
 //! percentages (Fig. 3), combining degree, and lock-acquisition rates.
 //!
+//! They are the only place a speculative attempt and its outcome are
+//! counted: the TM and the runtimes count no transactions. Each event is
+//! bumped once, and a total that is a sum of other counters is derived
+//! in [`ExecStats::snapshot`] rather than counted.
+//!
 //! Every executor bumps several of these counters per operation, from
 //! every thread, some of them inside the data-structure lock's critical
-//! section. So they live on [`Striped`] counters, like the TM's
-//! [`TxStats`](hcf_tmem::TxStats): each thread bumps a cache-padded
-//! stripe it leases exclusively, with a plain load and store, instead of
-//! a `fetch_add` on a line that every thread writes. Snapshots sum the
-//! stripes; they are exact once the counting threads are joined.
+//! section. So they live on [`Striped`] counters: each thread bumps a
+//! cache-padded stripe it leases exclusively, with a plain load and
+//! store, instead of a `fetch_add` on a line that every thread writes.
+//! Snapshots sum the stripes; they are exact once the counting threads
+//! are joined.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,24 +61,23 @@ impl Phase {
 /// Histogram bucket upper bounds (inclusive) for combining degree.
 pub const DEGREE_BUCKETS: [usize; 7] = [1, 2, 4, 8, 16, 32, usize::MAX];
 
-/// One stripe of one array's counters: fifteen counters, 120 bytes,
-/// inside one 128-byte padding unit.
+/// One stripe of one array's counters: fourteen counters, 112 bytes,
+/// inside one 128-byte padding unit. Sessions are not counted: each one
+/// bumps exactly one `degree_hist` bucket.
 #[derive(Debug, Default)]
 struct ArrayStats {
     completed: [AtomicU64; 4],
-    sessions: AtomicU64,
     helped_ops: AtomicU64,
     degree_hist: [AtomicU64; 7],
     attempts: AtomicU64,
     commits: AtomicU64,
 }
 
-/// One stripe of the executor-wide counters.
+/// One stripe of the executor-wide counters: four. The executor-wide
+/// attempts and commits are the sums of the per-array ones.
 #[derive(Debug, Default)]
 struct GlobalStats {
     lock_acqs: AtomicU64,
-    htm_attempts: AtomicU64,
-    htm_commits: AtomicU64,
     htm_conflicts: AtomicU64,
     htm_capacity: AtomicU64,
     htm_explicit: AtomicU64,
@@ -112,7 +116,6 @@ impl ExecStats {
     /// Records a combiner session over `degree` selected operations.
     pub fn session(&self, aid: usize, degree: usize) {
         let a = &self.arrays[aid];
-        a.add(|a| &a.sessions, 1);
         a.add(|a| &a.helped_ops, degree as u64);
         let b = DEGREE_BUCKETS.iter().position(|&ub| degree <= ub).unwrap();
         a.add(|a| &a.degree_hist[b], 1);
@@ -125,13 +128,11 @@ impl ExecStats {
 
     /// Records one speculative attempt on array `aid`.
     pub fn attempt(&self, aid: usize) {
-        self.global.add(|g| &g.htm_attempts, 1);
         self.arrays[aid].add(|a| &a.attempts, 1);
     }
 
     /// Records a committed speculative attempt on array `aid`.
     pub fn commit(&self, aid: usize) {
-        self.global.add(|g| &g.htm_commits, 1);
         self.arrays[aid].add(|a| &a.commits, 1);
     }
 
@@ -173,22 +174,26 @@ impl ExecStats {
     /// so its watchdog never depends on cross-counter consistency.
     pub fn snapshot(&self) -> ExecStatsSnapshot {
         let g = &self.global;
-        ExecStatsSnapshot {
-            arrays: self
-                .arrays
-                .iter()
-                .map(|a| ArrayStatsSnapshot {
+        let arrays: Vec<ArrayStatsSnapshot> = self
+            .arrays
+            .iter()
+            .map(|a| {
+                let degree_hist: [u64; 7] = std::array::from_fn(|i| sum(a, |s| &s.degree_hist[i]));
+                ArrayStatsSnapshot {
                     completed: std::array::from_fn(|i| sum(a, |s| &s.completed[i])),
-                    sessions: sum(a, |s| &s.sessions),
+                    sessions: degree_hist.iter().sum(),
                     helped_ops: sum(a, |s| &s.helped_ops),
-                    degree_hist: std::array::from_fn(|i| sum(a, |s| &s.degree_hist[i])),
+                    degree_hist,
                     attempts: sum(a, |s| &s.attempts),
                     commits: sum(a, |s| &s.commits),
-                })
-                .collect(),
+                }
+            })
+            .collect();
+        ExecStatsSnapshot {
             lock_acqs: sum(g, |s| &s.lock_acqs),
-            htm_attempts: sum(g, |s| &s.htm_attempts),
-            htm_commits: sum(g, |s| &s.htm_commits),
+            htm_attempts: arrays.iter().map(|a| a.attempts).sum(),
+            htm_commits: arrays.iter().map(|a| a.commits).sum(),
+            arrays,
             htm_conflicts: sum(g, |s| &s.htm_conflicts),
             htm_capacity: sum(g, |s| &s.htm_capacity),
             htm_explicit: sum(g, |s| &s.htm_explicit),

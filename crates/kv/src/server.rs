@@ -58,7 +58,7 @@ use std::io::{self, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use hcf_core::{HcfConfig, HcfEngine};
@@ -82,6 +82,10 @@ use crate::store::{decode_value, encode_value, Arena, KvBatch, KvOp, KvRes, KvSh
 /// shard"). Timed with the server's runtime clock.
 const SPIN_NS: u64 = 20_000;
 
+/// How often the monitor checks the watchdog. Shutdown does not wait
+/// for it: `begin_shutdown` wakes the monitor.
+const MONITOR_PERIOD: Duration = Duration::from_millis(10);
+
 /// How long one connect that wakes the acceptor may take. A wake that
 /// times out is repeated by `join`.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
@@ -104,8 +108,6 @@ pub struct KvConfig {
     pub words_per_shard: usize,
     /// Stall deadline: backlog present but nothing completing.
     pub watchdog_ms: u64,
-    /// Monitor polling period.
-    pub poll_ms: u64,
     /// Wire-format limits (max args per frame, max bytes per arg).
     pub limits: FrameLimits,
 }
@@ -120,7 +122,6 @@ impl Default for KvConfig {
             buckets_per_shard: 1024,
             words_per_shard: 1 << 19,
             watchdog_ms: 5_000,
-            poll_ms: 10,
             limits: FrameLimits::default(),
         }
     }
@@ -362,6 +363,9 @@ struct ServerInner {
     /// Requests answered per shard (the watchdog's progress).
     meter: ProgressMeter,
     stop: AtomicBool,
+    /// The monitor thread, registered by the monitor itself before its
+    /// first look at `stop`, so `begin_shutdown` can wake it.
+    monitor: Mutex<Option<Thread>>,
     stall: Mutex<Option<StallInfo>>,
     /// A clone of every live connection's stream, keyed by connection id,
     /// so `join` can kick it off its read. Each connection thread removes
@@ -380,6 +384,12 @@ impl ServerInner {
         }
         for shard in &self.shards {
             shard.queue.close();
+        }
+        // Under the lock the monitor registers with: either it is
+        // registered and is woken here, or it registers later and then
+        // sees `stop`.
+        if let Some(m) = self.monitor.lock().as_ref() {
+            m.unpark();
         }
         self.wake_acceptor();
     }
@@ -628,6 +638,7 @@ impl KvServer {
             meter: ProgressMeter::new(shards.len()),
             shards,
             stop: AtomicBool::new(false),
+            monitor: Mutex::new(None),
             stall: Mutex::new(None),
             conns: Mutex::new(HashMap::new()),
             clock: RealRuntime::new(),
@@ -872,13 +883,16 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
 }
 
 fn monitor_loop(inner: &Arc<ServerInner>) {
+    *inner.monitor.lock() = Some(std::thread::current());
     let deadline_ns = inner.cfg.watchdog_ms.saturating_mul(1_000_000);
     let mut tracker = StallTracker::new(deadline_ns, inner.clock.now());
     loop {
         if inner.stop.load(Ordering::Acquire) && inner.unanswered() == 0 {
             return;
         }
-        std::thread::sleep(Duration::from_millis(inner.cfg.poll_ms.max(1)));
+        // Returns early on `begin_shutdown`'s unpark (or spuriously;
+        // either way the loop rechecks).
+        std::thread::park_timeout(MONITOR_PERIOD);
         let backlog = inner.unanswered();
         if backlog == 0 {
             // An idle server is waiting, not stalled.

@@ -7,7 +7,6 @@ use hcf_util::rng::*;
 
 use hcf_core::{DataStructure, ExecStatsSnapshot, HcfConfig, Variant};
 use hcf_tmem::runtime::{MemAccessStats, Runtime};
-use hcf_tmem::stats::TxStatsSnapshot;
 use hcf_tmem::{DirectCtx, MemCtx, RealRuntime, TMem, TMemConfig, TxResult};
 
 use crate::cost::CostModel;
@@ -80,8 +79,6 @@ pub struct RunResult {
     pub exec: ExecStatsSnapshot,
     /// Coherence statistics.
     pub mem: MemAccessStats,
-    /// Substrate statistics.
-    pub tmem: TxStatsSnapshot,
 }
 
 impl RunResult {
@@ -162,6 +159,33 @@ where
     ) -> Arc<dyn hcf_core::Executor<D>>,
     G: Fn(usize, &mut StdRng) -> D::Op + Send + Sync,
 {
+    run_loop(cfg, variant, build, make_exec, gen, |_| {})
+}
+
+/// The one lockstep run loop behind [`run_with`] and [`run_timeline`]:
+/// builds the structure and the executor, runs `cfg.threads` simulated
+/// threads until the deadline, and calls `after_op` with the thread's
+/// virtual time after each operation it completes.
+fn run_loop<D, B, F, G>(
+    cfg: &SimConfig,
+    variant: Variant,
+    build: B,
+    make_exec: F,
+    gen: G,
+    after_op: impl Fn(u64) + Sync,
+) -> RunResult
+where
+    D: DataStructure,
+    B: FnOnce(&mut dyn MemCtx, usize) -> TxResult<(Arc<D>, HcfConfig)>,
+    F: FnOnce(
+        Arc<D>,
+        Arc<TMem>,
+        Arc<dyn hcf_tmem::Runtime>,
+        usize,
+        HcfConfig,
+    ) -> Arc<dyn hcf_core::Executor<D>>,
+    G: Fn(usize, &mut StdRng) -> D::Op + Send + Sync,
+{
     let mem = Arc::new(TMem::new(cfg.tmem.clone()));
     let setup_rt = RealRuntime::new();
     let (ds, hcf_config) = {
@@ -176,7 +200,7 @@ where
         mem.config().lines(),
     ));
     let rt_dyn: Arc<dyn hcf_tmem::Runtime> = runtime.clone();
-    let executor = make_exec(ds, mem.clone(), rt_dyn, cfg.threads, hcf_config);
+    let executor = make_exec(ds, mem, rt_dyn, cfg.threads, hcf_config);
 
     let total_ops = AtomicU64::new(0);
     let deadline = cfg.duration;
@@ -186,6 +210,7 @@ where
         while runtime.now() < deadline {
             runtime.charge_op_overhead();
             executor.execute(gen(tid, &mut rng));
+            after_op(runtime.now());
             ops += 1;
         }
         total_ops.fetch_add(ops, Ordering::Relaxed);
@@ -198,7 +223,6 @@ where
         elapsed: runtime.elapsed(),
         exec: executor.exec_stats(),
         mem: runtime.mem_stats(),
-        tmem: mem.stats(),
     }
 }
 
@@ -264,47 +288,12 @@ where
     G: Fn(usize, &mut StdRng) -> D::Op + Send + Sync,
 {
     assert!(bucket_cycles > 0);
-    let mem = Arc::new(TMem::new(cfg.tmem.clone()));
-    let setup_rt = RealRuntime::new();
-    let (ds, hcf_config) = {
-        let mut ctx = DirectCtx::new(&mem, &setup_rt);
-        build(&mut ctx, cfg.threads).expect("experiment setup failed")
-    };
-    let runtime = Arc::new(LockstepRuntime::new(
-        cfg.topology,
-        cfg.threads,
-        cfg.cost,
-        mem.config().lines(),
-    ));
-    let rt_dyn: Arc<dyn hcf_tmem::Runtime> = runtime.clone();
-    let executor = make_exec(ds, mem.clone(), rt_dyn, cfg.threads, hcf_config);
-
     let n_buckets = (cfg.duration / bucket_cycles + 2) as usize;
     let buckets: Vec<AtomicU64> = (0..n_buckets).map(|_| AtomicU64::new(0)).collect();
-    let total_ops = AtomicU64::new(0);
-    let deadline = cfg.duration;
-    runtime.run_threads(|tid| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(tid as u64));
-        let mut ops = 0u64;
-        while runtime.now() < deadline {
-            runtime.charge_op_overhead();
-            executor.execute(gen(tid, &mut rng));
-            let b = ((runtime.now() / bucket_cycles) as usize).min(n_buckets - 1);
-            buckets[b].fetch_add(1, Ordering::Relaxed);
-            ops += 1;
-        }
-        total_ops.fetch_add(ops, Ordering::Relaxed);
+    let result = run_loop(cfg, variant, build, make_exec, gen, |now| {
+        let b = ((now / bucket_cycles) as usize).min(n_buckets - 1);
+        buckets[b].fetch_add(1, Ordering::Relaxed);
     });
-
-    let result = RunResult {
-        threads: cfg.threads,
-        variant,
-        total_ops: total_ops.load(Ordering::Relaxed),
-        elapsed: runtime.elapsed(),
-        exec: executor.exec_stats(),
-        mem: runtime.mem_stats(),
-        tmem: mem.stats(),
-    };
     let timeline = buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
     (result, timeline)
 }
@@ -440,8 +429,7 @@ mod tests {
         assert_eq!(a.total_ops, b.total_ops);
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.exec, b.exec);
-        assert_eq!(a.mem.hits, b.mem.hits);
-        assert_eq!(a.tmem, b.tmem);
+        assert_eq!(a.mem, b.mem);
     }
 
     #[test]

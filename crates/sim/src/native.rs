@@ -41,7 +41,6 @@ use hcf_util::sync::Mutex;
 
 use hcf_core::{DataStructure, ExecStatsSnapshot, Executor, HcfConfig, Variant};
 use hcf_tmem::runtime::Runtime;
-use hcf_tmem::stats::TxStatsSnapshot;
 use hcf_tmem::{DirectCtx, MemCtx, RealRuntime, TMem, TMemConfig, TxResult};
 
 use crate::lincheck::OpSpan;
@@ -174,8 +173,6 @@ pub struct NativeRunResult {
     pub latency: LatencyStats,
     /// Framework statistics (exact: taken after joining the workers).
     pub exec: ExecStatsSnapshot,
-    /// Substrate statistics.
-    pub tmem: TxStatsSnapshot,
 }
 
 impl NativeRunResult {
@@ -342,7 +339,7 @@ where
 
     let rt = Arc::new(RealRuntime::new());
     let rt_dyn: Arc<dyn Runtime> = rt.clone();
-    let executor = make_exec(ds, mem.clone(), rt_dyn, cfg.threads, hcf_config);
+    let executor = make_exec(ds, mem, rt_dyn, cfg.threads, hcf_config);
 
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
@@ -469,7 +466,6 @@ where
             per_thread_ops,
             latency: LatencyStats::from_samples(latencies),
             exec: executor.exec_stats(),
-            tmem: mem.stats(),
         },
         history,
     ))

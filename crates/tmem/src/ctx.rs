@@ -30,6 +30,12 @@ pub trait MemCtx {
     /// Transactional contexts abort on conflicts and capacity overflow.
     fn read(&mut self, addr: Addr) -> TxResult<u64>;
 
+    /// Loads the word at `addr` as [`read`](MemCtx::read) would, but
+    /// makes no runtime access and joins no read set, so a check made
+    /// with it (a `debug_assert!`) leaves the execution and a simulated
+    /// run unchanged. `None` where a transactional read would abort.
+    fn peek(&self, addr: Addr) -> Option<u64>;
+
     /// Stores `value` to `addr`.
     ///
     /// # Errors
@@ -105,6 +111,10 @@ impl fmt::Debug for TxCtx<'_, '_> {
 impl MemCtx for TxCtx<'_, '_> {
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         self.tx.read(addr)
+    }
+
+    fn peek(&self, addr: Addr) -> Option<u64> {
+        self.tx.peek(addr)
     }
 
     fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
@@ -205,6 +215,10 @@ impl fmt::Debug for DirectCtx<'_> {
 impl MemCtx for DirectCtx<'_> {
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         Ok(self.mem.read_direct(self.rt, addr))
+    }
+
+    fn peek(&self, addr: Addr) -> Option<u64> {
+        Some(self.mem.peek(addr))
     }
 
     fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {

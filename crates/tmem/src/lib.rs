@@ -82,7 +82,6 @@ pub mod mem;
 pub mod orec;
 pub mod runtime;
 pub mod san;
-pub mod stats;
 pub mod txn;
 pub mod txset;
 
@@ -93,6 +92,5 @@ pub use error::{AbortCause, TxResult};
 pub use lock::{ElidableLock, LockVersion};
 pub use mem::TMem;
 pub use runtime::{AccessKind, RealRuntime, Runtime, ThreadSlot, TxEvent};
-pub use stats::TxStats;
 pub use txn::Txn;
 pub use txset::TxnScratch;

@@ -134,7 +134,7 @@ impl ElidableLock {
     /// Debug builds panic if the calling thread is not the holder.
     pub fn unlock(&self, rt: &dyn Runtime) {
         debug_assert_eq!(
-            self.mem.read_direct(rt, self.word),
+            self.mem.peek(self.word),
             rt.thread_id() as u64 + 1,
             "unlock by non-holder"
         );

@@ -34,7 +34,6 @@ use crate::config::TMemConfig;
 use crate::error::TxResult;
 use crate::orec::OrecValue;
 use crate::runtime::{AccessKind, Runtime};
-use crate::stats::{TxStats, TxStatsSnapshot};
 use crate::txn::Txn;
 
 /// Words between neighbouring orecs: 16 × 8 bytes keeps every orec alone
@@ -71,7 +70,6 @@ pub struct TMem {
     /// see [`ElidableLock`](crate::ElidableLock) for the protocol.
     writeback_active: CachePadded<AtomicUsize>,
     alloc: Allocator,
-    stats: TxStats,
 }
 
 impl TMem {
@@ -87,7 +85,6 @@ impl TMem {
             clock: CachePadded::new(AtomicU64::new(0)),
             writeback_active: CachePadded::new(AtomicUsize::new(0)),
             alloc,
-            stats: TxStats::new(),
         }
     }
 
@@ -132,10 +129,6 @@ impl TMem {
         &self.orecs[line * OREC_STRIDE]
     }
 
-    pub(crate) fn stats_ref(&self) -> &TxStats {
-        &self.stats
-    }
-
     /// Enters the commit write-back window.
     ///
     /// The `SeqCst` fence forms a Dekker pair with the one in
@@ -178,6 +171,15 @@ impl TMem {
     /// (spin-waiting on a status word, reading a look-aside hint).
     pub fn read_direct(&self, rt: &dyn Runtime, addr: Addr) -> u64 {
         rt.mem_access(self.line_of(addr), AccessKind::Read);
+        self.peek(addr)
+    }
+
+    /// [`TMem::read_direct`] without the runtime's access hook: the load
+    /// is neither charged nor seen by a coherence model, so a check made
+    /// with it (a `debug_assert!`) leaves a simulated run unchanged.
+    /// Carries the same consistency caveats as `read_direct`.
+    #[inline]
+    pub fn peek(&self, addr: Addr) -> u64 {
         // Acquire: pairs with the Release word stores of commits and
         // direct writes, so observing a published value also makes
         // everything the writer did before it visible to this thread.
@@ -424,11 +426,6 @@ impl TMem {
 
     pub(crate) fn allocator(&self) -> &Allocator {
         &self.alloc
-    }
-
-    /// Substrate statistics accumulated so far.
-    pub fn stats(&self) -> TxStatsSnapshot {
-        self.stats.snapshot()
     }
 }
 

@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hcf_util::pad::Striped;
 use hcf_util::sync::Mutex;
 
 use crate::txset::TxnScratch;
@@ -37,7 +36,7 @@ pub enum AccessKind {
     Write,
 }
 
-/// Transaction lifecycle events, for cost accounting and statistics.
+/// Transaction lifecycle events, for cost accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxEvent {
     /// A transaction began.
@@ -178,35 +177,18 @@ impl IdRegistry {
     }
 }
 
-/// One stripe of [`RealRuntime`] statistics. All three counters fit well
-/// inside the 128-byte padding unit, so a thread's begin/commit/abort
-/// bumps stay on one private line.
-#[derive(Debug, Default)]
-struct CounterStripe {
-    begins: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-}
-
 /// Pass-through runtime for ordinary execution: threads run freely, time is
 /// wall time, and the per-access cost hook does nothing.
 ///
-/// `mem_access` runs on every transactional and direct load and store, so
-/// it counts nothing: no report read a per-access count, and even a
-/// private striped counter cost a load and a store per access. Only the
-/// transaction lifecycle is counted ([`RealRuntime::tx_counts`]), on
-/// [`Striped`] counters: each OS thread bumps a cache-padded stripe it
-/// leases exclusively on first use and returns when it exits, chosen
-/// deliberately *not* by [`Runtime::thread_id`] (resolving a dense id
-/// inside `tx_event` would implicitly register threads and shift every
-/// later thread's id). An owner bumps with a plain load and store;
-/// threads that find no free stripe share an overflow stripe, still
-/// bumped with `fetch_add`, so counts stay exact.
+/// Neither cost hook counts anything: `mem_access` runs on every
+/// transactional and direct load and store, and `tx_event` on every
+/// begin, commit and abort, while the executors' `ExecStats` already
+/// count each speculative attempt and its outcome, which is what every
+/// report reads.
 pub struct RealRuntime {
     start: Instant,
     token: u64,
     ids: Mutex<IdRegistry>,
-    stripes: Striped<CounterStripe>,
 }
 
 impl RealRuntime {
@@ -219,19 +201,7 @@ impl RealRuntime {
             start: Instant::now(), // hcf-lint: allow(no-wall-clock)
             token: RUNTIME_TOKEN.fetch_add(1, Ordering::Relaxed),
             ids: Mutex::new(IdRegistry::default()),
-            stripes: Striped::new(),
         }
-    }
-
-    /// Number of transactions begun/committed/aborted so far.
-    pub fn tx_counts(&self) -> (u64, u64, u64) {
-        let mut totals = (0, 0, 0);
-        for s in self.stripes.iter() {
-            totals.0 += s.begins.load(Ordering::Relaxed);
-            totals.1 += s.commits.load(Ordering::Relaxed);
-            totals.2 += s.aborts.load(Ordering::Relaxed);
-        }
-        totals
     }
 
     /// Explicitly registers the calling thread, returning a guard that
@@ -369,16 +339,7 @@ impl Runtime for RealRuntime {
 
     fn mem_access(&self, _line: usize, _kind: AccessKind) {}
 
-    fn tx_event(&self, event: TxEvent) {
-        self.stripes.add(
-            |s| match event {
-                TxEvent::Begin => &s.begins,
-                TxEvent::Commit => &s.commits,
-                TxEvent::Abort => &s.aborts,
-            },
-            1,
-        );
-    }
+    fn tx_event(&self, _event: TxEvent) {}
 }
 
 #[cfg(test)]
@@ -395,16 +356,6 @@ mod tests {
         let other = std::thread::spawn(move || rt2.thread_id()).join().unwrap();
         assert_ne!(id0, other);
         assert!(other < 2);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let rt = RealRuntime::new();
-        rt.tx_event(TxEvent::Begin);
-        rt.tx_event(TxEvent::Commit);
-        rt.tx_event(TxEvent::Begin);
-        rt.tx_event(TxEvent::Abort);
-        assert_eq!(rt.tx_counts(), (2, 1, 1));
     }
 
     #[test]
@@ -479,22 +430,6 @@ mod tests {
         let slot = rt.register();
         assert_eq!(slot.id(), implicit);
         assert_eq!(rt.thread_id(), implicit);
-    }
-
-    #[test]
-    fn counters_aggregate_across_stripes() {
-        // Counts from different threads land in different stripes but
-        // must still sum correctly.
-        let rt = Arc::new(RealRuntime::new());
-        rt.tx_event(TxEvent::Begin);
-        let rt2 = rt.clone();
-        std::thread::spawn(move || {
-            rt2.tx_event(TxEvent::Begin);
-            rt2.tx_event(TxEvent::Commit);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(rt.tx_counts(), (2, 1, 0));
     }
 
     #[test]

@@ -35,11 +35,6 @@ pub struct Txn<'m> {
     scratch: TxnScratch,
     poisoned: Option<AbortCause>,
     finished: bool,
-    /// Transactional loads and stores counted so far, published to
-    /// [`TxStats`](crate::TxStats) once, in `Drop`, instead of one shared
-    /// atomic bump per access.
-    tx_reads: u64,
-    tx_writes: u64,
     /// Sanitizer identity of this transaction (see [`crate::san`]).
     #[cfg(feature = "txsan")]
     san_id: u64,
@@ -69,8 +64,6 @@ impl<'m> Txn<'m> {
             scratch: rt.take_scratch(),
             poisoned: None,
             finished: false,
-            tx_reads: 0,
-            tx_writes: 0,
             #[cfg(feature = "txsan")]
             san_id,
         }
@@ -123,29 +116,11 @@ impl<'m> Txn<'m> {
         if let Some(v) = self.scratch.writes.get(addr.0) {
             return Ok(v);
         }
-        self.tx_reads += 1;
         let line = self.mem.line_of(addr);
         self.rt.mem_access(line, AccessKind::Read);
-        // The o1/data/o2 sandwich. Orderings:
-        //  * o1 Acquire — pairs with a committer's Release publish, so a
-        //    version we accept comes with the data stores it guards;
-        //  * data Acquire — (a) keeps the o2 load below from being
-        //    hoisted above the data read, and (b) pairs with the
-        //    Release word store of a concurrent writer, so if we *do*
-        //    observe in-flight data the happens-before edge forces o2
-        //    to observe that writer's lock CAS and the check fails;
-        //  * o2 Relaxed — it is ordered after the data load by the data
-        //    load's Acquire, and per-location coherence already
-        //    guarantees it reads a value no older than o1.
-        let o1 = OrecValue(self.mem.orec(line).load(Ordering::Acquire));
-        if o1.is_locked() || o1.version() > self.rv {
+        let Some((v, o1)) = self.load_consistent(addr, line) else {
             return Err(self.poison(AbortCause::Conflict));
-        }
-        let v = self.mem.word(addr).load(Ordering::Acquire);
-        let o2 = OrecValue(self.mem.orec(line).load(Ordering::Relaxed));
-        if o1 != o2 {
-            return Err(self.poison(AbortCause::Conflict));
-        }
+        };
         match self.scratch.reads.get(line as u64) {
             Some(rec) if rec != o1.raw() => return Err(self.poison(AbortCause::Conflict)),
             Some(_) => {}
@@ -167,6 +142,48 @@ impl<'m> Txn<'m> {
         Ok(v)
     }
 
+    /// The o1/data/o2 sandwich: the word at `addr` (on `line`) and the
+    /// line's orec, if the orec is unlocked, no newer than the snapshot
+    /// and unchanged across the load. Orderings:
+    ///  * o1 Acquire — pairs with a committer's Release publish, so a
+    ///    version we accept comes with the data stores it guards;
+    ///  * data Acquire — (a) keeps the o2 load below from being hoisted
+    ///    above the data read, and (b) pairs with the Release word store
+    ///    of a concurrent writer, so if we *do* observe in-flight data
+    ///    the happens-before edge forces o2 to observe that writer's
+    ///    lock CAS and the check fails;
+    ///  * o2 Relaxed — it is ordered after the data load by the data
+    ///    load's Acquire, and per-location coherence already guarantees
+    ///    it reads a value no older than o1.
+    #[inline]
+    fn load_consistent(&self, addr: Addr, line: usize) -> Option<(u64, OrecValue)> {
+        let o1 = OrecValue(self.mem.orec(line).load(Ordering::Acquire));
+        if o1.is_locked() || o1.version() > self.rv {
+            return None;
+        }
+        let v = self.mem.word(addr).load(Ordering::Acquire);
+        let o2 = OrecValue(self.mem.orec(line).load(Ordering::Relaxed));
+        (o1 == o2).then_some((v, o1))
+    }
+
+    /// The value [`read`](Txn::read) would return for `addr`, without its
+    /// effects: no runtime access hook, no read-set entry, no capacity
+    /// check. `None` if this transaction has failed or the read would
+    /// abort on a conflict. For checks (`debug_assert!`) that must leave a
+    /// simulated run unchanged.
+    pub(crate) fn peek(&self, addr: Addr) -> Option<u64> {
+        if self.poisoned.is_some() {
+            return None;
+        }
+        if let Some(v) = self.scratch.writes.get(addr.0) {
+            return Some(v);
+        }
+        let line = self.mem.line_of(addr);
+        let (v, o1) = self.load_consistent(addr, line)?;
+        let recorded = self.scratch.reads.get(line as u64);
+        recorded.is_none_or(|rec| rec == o1.raw()).then_some(v)
+    }
+
     /// Transactional (buffered) store.
     ///
     /// # Errors
@@ -175,7 +192,6 @@ impl<'m> Txn<'m> {
     /// configured limit.
     pub fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
         self.check_poison()?;
-        self.tx_writes += 1;
         let line = self.mem.line_of(addr);
         if self.scratch.writes.get(addr.0).is_none() {
             // Encounter-time coherence event: TSX takes lines exclusive at
@@ -280,7 +296,6 @@ impl<'m> Txn<'m> {
             // Read-only transactions were validated read-by-read against
             // `rv`; nothing to publish.
             self.finished = true;
-            self.mem.stats_ref().record_commit();
             // Guarded: `thread_id()` must not be evaluated while dormant
             // (it assigns ids on the real runtime).
             #[cfg(feature = "txsan")]
@@ -423,7 +438,6 @@ impl<'m> Txn<'m> {
         }
 
         self.finished = true;
-        self.mem.stats_ref().record_commit();
         self.execute_frees();
         Ok(())
     }
@@ -434,7 +448,6 @@ impl<'m> Txn<'m> {
     /// pre-scratch code: unlock stores, then `TxEvent::Abort`.
     fn abort_commit(&mut self, _exited_writeback: bool) -> AbortCause {
         self.rt.tx_event(TxEvent::Abort);
-        self.mem.stats_ref().record_abort(AbortCause::Conflict);
         #[cfg(feature = "txsan")]
         self.san_abort(AbortCause::Conflict);
         self.rollback_internal();
@@ -447,7 +460,6 @@ impl<'m> Txn<'m> {
     pub fn rollback(mut self, default_cause: AbortCause) -> AbortCause {
         let cause = self.poisoned.unwrap_or(default_cause);
         self.rt.tx_event(TxEvent::Abort);
-        self.mem.stats_ref().record_abort(cause);
         #[cfg(feature = "txsan")]
         self.san_abort(cause);
         self.rollback_internal();
@@ -487,18 +499,10 @@ impl Drop for Txn<'_> {
             // Dropped without commit/rollback (e.g. `?` propagation past
             // the transaction): count it as an abort and recycle allocs.
             self.rt.tx_event(TxEvent::Abort);
-            self.mem
-                .stats_ref()
-                .record_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
             #[cfg(feature = "txsan")]
             self.san_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
             self.rollback_internal();
         }
-        // Every `Txn` is dropped exactly once (commit and rollback consume
-        // it), so this is the one place its access counts are published.
-        self.mem
-            .stats_ref()
-            .record_tx_accesses(self.tx_reads, self.tx_writes);
         // Return the scratch (reset by the pool) for the next transaction
         // on this thread.
         self.rt.put_scratch(std::mem::take(&mut self.scratch));
@@ -715,16 +719,56 @@ mod tests {
         tx.commit().unwrap();
     }
 
+    /// A [`RealRuntime`] that also logs the lifecycle events it is told
+    /// of, which is how a cost model learns of them.
+    #[derive(Default)]
+    struct EventLog {
+        rt: RealRuntime,
+        events: hcf_util::sync::Mutex<Vec<TxEvent>>,
+    }
+
+    impl Runtime for EventLog {
+        fn thread_id(&self) -> usize {
+            self.rt.thread_id()
+        }
+        fn advance(&self, _cycles: u64) {}
+        fn yield_now(&self) {}
+        fn now(&self) -> u64 {
+            self.rt.now()
+        }
+        fn mem_access(&self, _line: usize, _kind: AccessKind) {}
+        fn tx_event(&self, event: TxEvent) {
+            self.events.lock().push(event);
+        }
+    }
+
     #[test]
     fn drop_without_commit_counts_abort_and_recycles() {
-        let (m, rt) = setup();
+        let m = TMem::new(TMemConfig::small_word_granular());
+        let rt = EventLog::default();
         {
             let mut tx = m.begin(&rt);
             let _ = tx.alloc(4).unwrap();
             // dropped here
         }
         assert_eq!(m.allocator().free_block_count(), 1);
-        assert!(m.stats().aborts() >= 1);
+        assert_eq!(*rt.events.lock(), [TxEvent::Begin, TxEvent::Abort]);
+    }
+
+    #[test]
+    fn peek_reads_like_read_without_its_effects() {
+        let (m, rt) = setup();
+        let a = m.alloc_direct(2).unwrap();
+        m.write_direct(&rt, a, 7);
+        let mut tx = m.begin(&rt);
+        assert_eq!(tx.peek(a), Some(7));
+        assert_eq!(tx.read_footprint(), 0, "peek joins no read set");
+        tx.write(a + 1, 9).unwrap();
+        assert_eq!(tx.peek(a + 1), Some(9), "peek sees the write buffer");
+        m.write_direct(&rt, a, 8);
+        assert_eq!(tx.peek(a), None, "a read would abort on the newer line");
+        assert_eq!(tx.abort_cause(), None, "peek does not poison");
+        tx.commit().unwrap();
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn deterministic_full_stack() {
         assert_eq!(a.total_ops, b.total_ops, "{v}");
         assert_eq!(a.elapsed, b.elapsed, "{v}");
         assert_eq!(a.exec, b.exec, "{v}");
-        assert_eq!(a.tmem, b.tmem, "{v}");
+        assert_eq!(a.mem, b.mem, "{v}");
     }
 }
 
@@ -65,6 +65,12 @@ fn phase_accounting_is_exact() {
             r.exec.total_ops(),
             r.total_ops,
             "{v}: phase completions must sum to op count"
+        );
+        let e = &r.exec;
+        assert_eq!(
+            e.htm_attempts,
+            e.htm_commits + e.htm_conflicts + e.htm_capacity + e.htm_explicit,
+            "{v}: every speculative attempt commits or aborts for one cause"
         );
     }
 }
